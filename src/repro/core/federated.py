@@ -720,11 +720,14 @@ class FederatedPlanner(Planner):
             else self._shards[owner_key]
         )
         removed = planner.retire(query_id)
-        if removed and owner_key != _COORDINATOR:
-            self._queue_shard_event(("retire", owner_key, query_id), owner_key)
         self._owner.pop(query_id, None)
+        if not removed:
+            # Nothing left the inner planner, so the merge is unchanged.
+            return False
+        if owner_key != _COORDINATOR:
+            self._queue_shard_event(("retire", owner_key, query_id), owner_key)
         self._rebuild_merged()
-        return removed
+        return True
 
     def on_topology_change(self) -> List[int]:
         """Forward topology changes to every shard and the coordinator.

@@ -146,7 +146,7 @@ class SQPRPlanner(Planner):
         return resolve_reuse_matches(self.allocation, list(queries))
 
     def retire(self, query_id: int) -> bool:
-        """Retire a query, incrementally updating the sub-plan index.
+        """Retire a query at the cost of what it exclusively held.
 
         Falls back to the index-free path (``without_queries`` plus minimal
         rebuild) whenever the index cannot guarantee an identical result:
@@ -161,11 +161,8 @@ class SQPRPlanner(Planner):
             or not index.is_fresh(self.allocation)
         ):
             return super().retire(query_id)
-        successor = index.retire(self.allocation, query_id)
-        if successor is None:
-            return False
-        self.allocation = successor
-        return True
+        # Prunes the live allocation in place; None means "not admitted".
+        return index.retire(self.allocation, query_id) is not None
 
     # -------------------------------------------------------------- submission
     def submit(
@@ -369,9 +366,10 @@ class SQPRPlanner(Planner):
             # Timed-out incumbents may contain redundant placements and
             # flows; keep only what admitted queries actually need so wasted
             # resources do not pile up over time.  With a fresh sub-plan
-            # index the collection is incremental (proportional to the delta
-            # and the affected sub-plans); otherwise fall back to the full
-            # rebuild and re-synchronise the index from its result.
+            # index the collection prunes the live allocation in place
+            # (proportional to the delta and the affected sub-plans);
+            # otherwise fall back to the full rebuild, which replaces the
+            # object, and re-synchronise the index from its result.
             if index_ok:
                 forced = {
                     self.catalog.get_query(query_id).result_stream
@@ -379,9 +377,7 @@ class SQPRPlanner(Planner):
                         decoded.admitted_new_queries | built.scope.replanned_queries
                     )
                 }
-                self.allocation = index.collect(
-                    self.allocation, decoded.delta, forced
-                )
+                index.collect(self.allocation, decoded.delta, forced)
             else:
                 self.allocation = rebuild_minimal_allocation(
                     self.catalog, self.allocation

@@ -799,6 +799,11 @@ class Allocation:
         """Admitted queries whose result stream is ``stream_id``."""
         return frozenset(self._queries_by_result.get(stream_id, ()))
 
+    def is_result_held(self, stream_id: int) -> bool:
+        """Whether any admitted query's result stream is ``stream_id`` (O(1),
+        where :meth:`queries_for_result` copies the whole holder set)."""
+        return stream_id in self._queries_by_result
+
     def queries_using_stream_scan(self, stream_id: int) -> FrozenSet[int]:
         """Full-scan recomputation of :meth:`queries_using_stream`."""
         catalog = self.catalog

@@ -158,9 +158,11 @@ class ClusterEngine:
         """Make ``allocation`` the engine's live allocation.
 
         The simulation harness keeps a planner's live allocation and the
-        engine's in sync through this method: planners with allocation state
-        replace (not mutate) their allocation object on garbage collection,
-        so sharing by identity is not possible.
+        engine's in sync through this method.  Sharing by identity is not a
+        contract: the SQPR planner prunes its allocation in place on the
+        sub-plan-index path, but the stale fallback, index-free planners,
+        host failures and the adaptive replanner all *replace* the object,
+        so callers re-adopt after every event instead of holding on to one.
 
         Adoption performs no validation of its own — the adopted object
         carries its incremental indexes and touched tracking with it, so the

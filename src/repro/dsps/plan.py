@@ -271,6 +271,12 @@ def rebuild_minimal_allocation(catalog: SystemCatalog, allocation) -> "Allocatio
     timed-out solver incumbent or by a removed query — are dropped.  The
     result is always a subset of the input, so it can never violate resource
     capacities the input satisfied.
+
+    This is the reference route to the post-admission allocation: the
+    index-free planners use it directly, and
+    :class:`repro.dsps.subplan.SubPlanIndex` — which prunes the live
+    allocation in place to the same content — falls back to it when stale
+    and is tested against it as the oracle.
     """
     from repro.dsps.allocation import Allocation  # local import to avoid a cycle
 

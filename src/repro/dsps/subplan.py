@@ -10,8 +10,8 @@ scan of scope computation, both fixed at their own call sites — made
 admission latency grow linearly with the number of resident queries.
 
 The :class:`SubPlanIndex` removes the remaining linear extraction term.
-It caches, per *result stream*, a :class:`SubPlanRecord`: the structure
-sequence the deployed sub-plan's extraction emits, plus the exact set of
+It caches, per *result stream*, a :class:`SubPlanRecord`: the structures
+the deployed sub-plan's extraction emits, plus the exact set of
 allocation points the extraction *read* — positively or negatively (see
 the ``read_log`` parameter of :func:`repro.dsps.plan.extract_plan`).
 Records are keyed by result stream rather than query id because duplicate
@@ -19,23 +19,23 @@ queries share one deployed sub-plan; under a reuse-heavy (Zipfian)
 workload the number of records grows with the number of *distinct* plans,
 not with the resident-query count.
 
-Identity with the index-free path is non-negotiable here (the benchmark
-asserts bit-equal admissions and fingerprints), and it is delicate:
-solver tie-breaking is sensitive not just to allocation *content* but to
-the construction history of the allocation object (set iteration order,
-floating-point accumulation order in the cached resource aggregates).
-The index therefore never prunes the live allocation in place.  Instead
-:meth:`SubPlanIndex.collect` and :meth:`SubPlanIndex.retire`
-*materialise* a successor: a fresh :class:`Allocation` built by replaying
-the cached records in exactly the order
-:func:`rebuild_minimal_allocation` would emit them — sorted admitted
-queries, plan-tree node order within each.  Since ``extract_plan`` is a
-deterministic function of allocation content (its reverse-index reads are
-sorted) and the cached records equal what a fresh extraction would
-return, the materialised object is indistinguishable from the index-free
-rebuild's output.  What the index saves is the extraction work: only
-records whose logged read points the applied delta touched are
-re-extracted; everything else is replayed from cache.
+The contract with the index-free path is *equal decisions, equal content
+fingerprints and a clean* ``validate()`` after every operation (the
+hypothesis oracle and the e2e benchmark assert all three) — not equal
+object state.  :meth:`SubPlanIndex.collect` and
+:meth:`SubPlanIndex.retire` therefore prune the **live allocation in
+place**, driven by a structure reference count: ``refs[(kind, key)]`` is
+the number of records whose sub-plan contains that availability entry,
+placement or flow.  A retirement whose result stream still has another
+holder only leaves the admitted set; the last holder's departure drops
+the record and removes exactly the structures whose count reached zero.
+A collection re-extracts the records whose logged read points the applied
+delta touched and then removes whatever the delta added, or the dropped
+records held, that no record references any more.  Both cost what the
+departing or arriving query *exclusively* holds, not the resident count,
+and the allocation object keeps its identity; it is replaced only on the
+stale fallback below (:func:`rebuild_minimal_allocation`, which doubles
+as the oracle).
 
 Two facts make the record cache exact:
 
@@ -44,8 +44,8 @@ Two facts make the record cache exact:
   points plus the catalog.  A delta that touches none of a record's
   points cannot change that record's extraction.
 * **Minimality invariant.**  The live allocation always equals the union
-  of the records' structures (it *is* their replay), so records never go
-  stale between deltas.
+  of the records' structures (the key set of the reference counts), so
+  records never go stale between deltas and a zero count means garbage.
 
 External changes (the engine adopting a different allocation, the
 adaptive replanner replacing the planner's allocation, a host failure)
@@ -86,7 +86,7 @@ _PROVIDER = -1
 
 ReadKey = Tuple[int, int]  # (host | _PROVIDER, stream)
 
-#: Structure-op kinds in a record's replay sequence.
+#: Structure kinds in a record's ``ops``.
 _AVAIL = 0
 _PLACE = 1
 _FLOW = 2
@@ -98,10 +98,10 @@ Op = Tuple[int, Tuple[int, ...]]  # (kind, structure key)
 class SubPlanRecord:
     """One result stream's cached deployed sub-plan.
 
-    ``ops`` is the exact structure sequence
+    ``ops`` is the set of structures
     :func:`rebuild_minimal_allocation` emits for one query using this
-    result stream, in emission order — replaying it reproduces the
-    rebuild bit for bit.  ``stream_slices`` snapshots the per-stream
+    result stream — what the index reference-counts to decide which live
+    structures are still needed.  ``stream_slices`` snapshots the per-stream
     fingerprint slice of every stream the extraction read, taken at
     extraction time — the record's operator-subgraph fingerprint.  If
     every slice still matches a live allocation, the record is provably
@@ -110,13 +110,13 @@ class SubPlanRecord:
 
     result_stream: int
     provider: Optional[int]
-    ops: Tuple[Op, ...]
+    ops: FrozenSet[Op]
     read_keys: FrozenSet[ReadKey]
     stream_slices: Tuple[Tuple[int, int, int], ...]  # (stream, xor, count)
 
     @property
     def num_structures(self) -> int:
-        """Size of the deployed sub-plan in (non-distinct) structure ops."""
+        """Size of the deployed sub-plan in distinct structures."""
         return len(self.ops)
 
 
@@ -185,16 +185,19 @@ class SubPlanIndex:
     The owning planner must call :meth:`is_fresh` before relying on any
     incremental operation and fall back to the index-free path (followed
     by :meth:`rebuild`) when it returns false.  :meth:`collect` and
-    :meth:`retire` return a *successor* allocation constructed exactly as
-    the index-free rebuild would construct it, so index-on and index-off
-    runs yield identical allocations — and therefore identical planning
-    decisions downstream.
+    :meth:`retire` prune the live allocation in place down to the content
+    the index-free rebuild would construct, so index-on and index-off
+    runs yield equal allocation fingerprints — and therefore identical
+    planning decisions downstream.
     """
 
     def __init__(self, catalog: SystemCatalog) -> None:
         self.catalog = catalog
         self._records: Dict[int, SubPlanRecord] = {}
         self._readers: Dict[ReadKey, Set[int]] = {}
+        # Number of records whose ops contain each structure; its key set is
+        # the live allocation's structures (the minimality invariant).
+        self._refs: Dict[Op, int] = {}
         # Structural fingerprint of the allocation after the last index
         # operation; None until the first rebuild (and after invalidate()).
         self._fp: Optional[Tuple] = None
@@ -241,13 +244,14 @@ class SubPlanIndex:
         """
         self._records.clear()
         self._readers.clear()
+        self._refs.clear()
         self._fp = None
 
     # ----------------------------------------------------------- record plumbing
     def _extract(self, allocation: Allocation, result_stream: int) -> SubPlanRecord:
         """Extract the current sub-plan record for ``result_stream``.
 
-        Emits exactly the structure sequence
+        Emits exactly the structures
         :func:`rebuild_minimal_allocation` adds for one admitted query of
         this result stream; a missing provider yields an empty record
         (the rebuild skips such queries entirely).
@@ -256,24 +260,24 @@ class SubPlanIndex:
         catalog = self.catalog
         provider = allocation.provider_of(result_stream)
         read_keys: Set[ReadKey] = {(_PROVIDER, result_stream)}
-        ops: List[Op] = []
+        ops: Set[Op] = set()
         if provider is not None:
             log: Set[ReadKey] = set()
             plan = extract_plan(catalog, allocation, result_stream, read_log=log)
             read_keys |= log
             for node in plan.nodes():
-                ops.append((_AVAIL, (node.host, node.output_stream)))
+                ops.add((_AVAIL, (node.host, node.output_stream)))
                 if node.operator_id is not None:
-                    ops.append((_PLACE, (node.host, node.operator_id)))
+                    ops.add((_PLACE, (node.host, node.operator_id)))
                     operator = catalog.get_operator(node.operator_id)
                     for input_id in operator.input_streams:
-                        ops.append((_AVAIL, (node.host, input_id)))
+                        ops.add((_AVAIL, (node.host, input_id)))
                 for child in node.children:
                     if child.host != node.host:
-                        ops.append(
+                        ops.add(
                             (_FLOW, (child.host, node.host, child.output_stream))
                         )
-                        ops.append((_AVAIL, (node.host, child.output_stream)))
+                        ops.add((_AVAIL, (node.host, child.output_stream)))
         streams = {result_stream} | {s for (_h, s) in read_keys}
         slices = tuple(
             (s,) + allocation.stream_fingerprint(s) for s in sorted(streams)
@@ -281,7 +285,7 @@ class SubPlanIndex:
         return SubPlanRecord(
             result_stream=result_stream,
             provider=provider,
-            ops=tuple(ops),
+            ops=frozenset(ops),
             read_keys=frozenset(read_keys),
             stream_slices=slices,
         )
@@ -290,8 +294,12 @@ class SubPlanIndex:
         self._records[record.result_stream] = record
         for key in record.read_keys:
             self._readers.setdefault(key, set()).add(record.result_stream)
+        refs = self._refs
+        for op in record.ops:
+            refs[op] = refs.get(op, 0) + 1
 
-    def _drop_record(self, record: SubPlanRecord) -> None:
+    def _drop_record(self, record: SubPlanRecord) -> List[Op]:
+        """Forget ``record``; returns its ops whose count reached zero."""
         del self._records[record.result_stream]
         for key in record.read_keys:
             readers = self._readers.get(key)
@@ -299,6 +307,29 @@ class SubPlanIndex:
                 readers.discard(record.result_stream)
                 if not readers:
                     del self._readers[key]
+        refs = self._refs
+        dead: List[Op] = []
+        for op in record.ops:
+            if refs[op] > 1:
+                refs[op] -= 1
+            else:
+                del refs[op]
+                dead.append(op)
+        return dead
+
+    def _prune(self, allocation: Allocation, candidates: Iterable[Op]) -> None:
+        """Remove the candidate structures no record references."""
+        refs = self._refs
+        for op in candidates:
+            if op in refs:
+                continue
+            kind, key = op
+            if kind == _AVAIL:
+                allocation.available.discard(key)
+            elif kind == _PLACE:
+                allocation.placements.discard(key)
+            else:
+                allocation.flows.discard(key)
 
     def _slices_match(
         self, record: SubPlanRecord, allocation: Allocation
@@ -308,46 +339,6 @@ class SubPlanIndex:
             stream_fingerprint(stream_id) == (xor, count)
             for stream_id, xor, count in record.stream_slices
         )
-
-    def _materialise(
-        self, allocation: Allocation, admitted_ids: Iterable[int]
-    ) -> Allocation:
-        """Build the successor allocation by replaying cached records.
-
-        Mirrors :func:`rebuild_minimal_allocation` statement for
-        statement (sorted admitted queries, per-query provided entry,
-        plan-tree structure order) so the returned object's internal
-        state — set iteration order, aggregate accumulation order,
-        fingerprint — is identical to what the index-free rebuild of
-        ``allocation`` would produce.
-        """
-        catalog = self.catalog
-        rebuilt = Allocation(catalog)
-        for query_id in sorted(admitted_ids):
-            query = catalog.get_query(query_id)
-            record = self._records.get(query.result_stream)
-            if record is None:
-                # Defensive: an admitted result the delta bookkeeping did
-                # not cover.  Extract on demand from the same source the
-                # index-free rebuild would read.
-                record = self._extract(allocation, query.result_stream)
-                self._add_record(record)
-            if record.provider is None:
-                # Admitted queries always have a provider; tolerate the
-                # inconsistency exactly like the index-free rebuild does.
-                continue
-            rebuilt.admitted_queries.add(query_id)
-            rebuilt.provided[query.result_stream] = record.provider
-            for kind, key in record.ops:
-                if kind == _AVAIL:
-                    rebuilt.available.add(key)
-                elif kind == _PLACE:
-                    rebuilt.placements.add(key)
-                else:
-                    rebuilt.flows.add(key)
-        rebuilt.inherit_touched(allocation)
-        self._fp = rebuilt.structural_fingerprint()
-        return rebuilt
 
     # ------------------------------------------------------------------ rebuild
     def rebuild(self, allocation: Allocation) -> None:
@@ -389,19 +380,12 @@ class SubPlanIndex:
         """
         catalog = self.catalog
         keys: Set[ReadKey] = set()
-        for _src, dst, stream_id in delta.add_flows:
+        for _src, dst, stream_id in delta.add_flows | delta.remove_flows:
             keys.add((dst, stream_id))
-        for _src, dst, stream_id in delta.remove_flows:
-            keys.add((dst, stream_id))
-        keys.update(delta.add_available)
-        keys.update(delta.remove_available)
-        for host, operator_id in delta.add_placements:
+        keys.update(delta.add_available, delta.remove_available)
+        for host, operator_id in delta.add_placements | delta.remove_placements:
             keys.add((host, catalog.get_operator(operator_id).output_stream))
-        for host, operator_id in delta.remove_placements:
-            keys.add((host, catalog.get_operator(operator_id).output_stream))
-        for stream_id in delta.set_provided:
-            keys.add((_PROVIDER, stream_id))
-        for stream_id in delta.unset_provided:
+        for stream_id in delta.unset_provided.union(delta.set_provided):
             keys.add((_PROVIDER, stream_id))
         return keys
 
@@ -416,10 +400,10 @@ class SubPlanIndex:
         ``allocation`` is the post-apply state; ``forced_results`` are
         the result streams of the queries this round admitted or
         replanned (their records are re-extracted unconditionally).
-        Returns the successor allocation — equal, object state included,
-        to ``rebuild_minimal_allocation(catalog, allocation)`` — at an
-        extraction cost proportional to the delta and the affected
-        sub-plans rather than the resident-query count.
+        Prunes ``allocation`` in place and returns it — equal in content
+        to ``rebuild_minimal_allocation(catalog, allocation)`` — at a
+        cost proportional to the delta and the affected sub-plans rather
+        than the resident-query count.
 
         The caller must have checked :meth:`is_fresh` against the
         *pre-delta* allocation.
@@ -430,29 +414,39 @@ class SubPlanIndex:
             readers = self._readers.get(key)
             if readers:
                 affected |= readers
+        # Garbage candidates: what the delta added plus what the dropped
+        # records held alone; everything else is referenced by an untouched
+        # record (the pre-delta state was minimal).
+        garbage: Set[Op] = {(_AVAIL, key) for key in delta.add_available}
+        garbage.update((_PLACE, key) for key in delta.add_placements)
+        garbage.update((_FLOW, key) for key in delta.add_flows)
         for result_stream in sorted(affected):
             old = self._records.get(result_stream)
             if old is not None:
-                self._drop_record(old)
-            if allocation.queries_for_result(result_stream):
+                garbage.update(self._drop_record(old))
+            if allocation.is_result_held(result_stream):
                 self._add_record(self._extract(allocation, result_stream))
-        successor = self._materialise(allocation, allocation.admitted_queries)
+        self._prune(allocation, garbage)
+        for stream_id in delta.set_provided:
+            if not allocation.is_result_held(stream_id):
+                allocation.provided.pop(stream_id, None)
         # Records were extracted from the pre-prune (post-apply) state; the
-        # successor drops solver residue those extractions never used.
-        # Extraction has no backtracking, so from the minimal successor it
+        # prune dropped solver residue those extractions never used.
+        # Extraction has no backtracking, so from the minimal state it
         # resolves along exactly the same path — re-snap the slices against
-        # the successor so a later rebuild() can recognise the records.
+        # it so a later rebuild() can recognise the records.
         for result_stream in affected:
             record = self._records.get(result_stream)
             if record is not None:
                 self._records[result_stream] = replace(
                     record,
                     stream_slices=tuple(
-                        (s,) + successor.stream_fingerprint(s)
+                        (s,) + allocation.stream_fingerprint(s)
                         for s, _xor, _count in record.stream_slices
                     ),
                 )
-        return successor
+        self._fp = allocation.structural_fingerprint()
+        return allocation
 
     # --------------------------------------------------------------- retirement
     def retire(
@@ -460,22 +454,25 @@ class SubPlanIndex:
     ) -> Optional[Allocation]:
         """Retire ``query_id``; mirror of ``without_queries`` + rebuild.
 
-        Returns the successor allocation, or ``None`` when the query is
-        not admitted (the index-free path returns ``False`` then).
-        Retirement changes no structures before the rebuild, so the
-        surviving records are exactly the surviving queries' extractions
-        and no re-extraction is needed at all.  The caller must have
-        checked :meth:`is_fresh` and that the catalog knows the id.
+        Prunes ``allocation`` in place and returns it, or returns ``None``
+        when the query is not admitted (the index-free path returns
+        ``False`` then).  While another admitted query still holds the
+        result stream only the admitted set changes; the last holder's
+        departure unsets the provider and removes the structures no other
+        record references.  No re-extraction is needed either way.  The
+        caller must have checked :meth:`is_fresh` and that the catalog
+        knows the id.
         """
         if query_id not in allocation.admitted_queries:
             return None
         self.stats["incremental_retires"] += 1
-        remaining = set(allocation.admitted_queries)
-        remaining.discard(query_id)
+        allocation.admitted_queries.discard(query_id)
         result_stream = self.catalog.get_query(query_id).result_stream
-        successor = self._materialise(allocation, remaining)
-        if not successor.queries_for_result(result_stream):
-            record = self._records.get(result_stream)
-            if record is not None:
-                self._drop_record(record)
-        return successor
+        if allocation.is_result_held(result_stream):
+            return allocation
+        allocation.provided.pop(result_stream, None)
+        record = self._records.get(result_stream)
+        if record is not None:
+            self._prune(allocation, self._drop_record(record))
+        self._fp = allocation.structural_fingerprint()
+        return allocation

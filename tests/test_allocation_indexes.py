@@ -227,6 +227,9 @@ def assert_mirrors_naive(allocation: Allocation) -> None:
         assert allocation.queries_for_result(
             stream_id
         ) == allocation.queries_for_result_scan(stream_id)
+        assert allocation.is_result_held(stream_id) == bool(
+            allocation.queries_for_result_scan(stream_id)
+        )
     assert allocation.placed_operators() == sorted({o for (_h, o) in placements})
     assert allocation.max_cpu_used() == pytest.approx(
         allocation.max_cpu_used_scan(), **APPROX

@@ -223,6 +223,23 @@ class TestFederatedPlanning:
         assert planner.active_queries == {0}
         assert planner.retire(12345) is False
 
+    def test_retire_refused_by_owner_skips_the_merge_rebuild(self, monkeypatch):
+        catalog = make_federated_catalog()
+        planner = create_planner(
+            "federated:sqpr", catalog, config=PlannerConfig(time_limit=None)
+        )
+        site0 = stream_names_of_site(catalog, 0)
+        query_id = planner.submit(query_over(*site0[:2])).query.query_id
+        # The owning shard no longer admits the query (e.g. an inner planner
+        # dropped it on a topology change): nothing leaves, nothing to merge.
+        shard = planner._shards[planner._owner[query_id]]
+        monkeypatch.setattr(shard, "retire", lambda _query_id: False)
+        merged = planner.allocation
+        fingerprint = merged.fingerprint()
+        assert planner.retire(query_id) is False
+        assert planner.allocation is merged
+        assert merged.fingerprint() == fingerprint
+
     def test_each_shard_has_its_own_reuse_cache(self):
         catalog = make_federated_catalog()
         planner = create_planner(

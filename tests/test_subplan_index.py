@@ -15,11 +15,14 @@ indexes.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.planner import PlannerConfig, SQPRPlanner
+from repro.dsps.allocation import PlacementDelta, delta_touched_sets
 from repro.dsps.catalog import SystemCatalog
 from repro.dsps.cost_model import LinearCostModel
 from repro.dsps.engine import ClusterEngine
@@ -32,18 +35,24 @@ NUM_BASE = 6
 BASES = [f"b{i}" for i in range(NUM_BASE)]
 
 
-def build_catalog(two_sites: bool = False) -> SystemCatalog:
+def build_catalog(
+    two_sites: bool = False, num_base: int = NUM_BASE, roomy: float = 1.0
+) -> SystemCatalog:
+    """``roomy`` scales every capacity (nothing is ever rejected at 20)."""
     catalog = SystemCatalog(
         cost_model=LinearCostModel(seed=1),
         decomposition=DecompositionMode.CANONICAL,
-        default_link_capacity=1000.0,
+        default_link_capacity=1000.0 * roomy,
     )
     for i in range(NUM_HOSTS):
         site = (i % 2) if two_sites else 0
         catalog.add_host(
-            cpu_capacity=10.0, bandwidth_capacity=200.0, name=f"h{i}", site=site
+            cpu_capacity=10.0 * roomy,
+            bandwidth_capacity=200.0 * roomy,
+            name=f"h{i}",
+            site=site,
         )
-    for i in range(NUM_BASE):
+    for i in range(num_base):
         catalog.add_base_stream(f"b{i}", 10.0, i % NUM_HOSTS)
     return catalog
 
@@ -69,6 +78,33 @@ def assert_twin_state(p_on: SQPRPlanner, p_off: SQPRPlanner) -> None:
         p_on.allocation.admitted_queries == p_off.allocation.admitted_queries
     )
     assert p_on.allocation.validate() == []
+    assert_index_invariants(p_on)
+
+
+def assert_index_invariants(planner: SQPRPlanner) -> None:
+    """Reference counts, minimality and provided-holders of a fresh index.
+
+    A topology change (host failure, partition) invalidates the index
+    until the next planned admission re-synchronises it; the invariants
+    bind only while it claims freshness.
+    """
+    index, allocation = planner._subplan_index, planner.allocation
+    if not index.is_fresh(allocation):
+        return
+    recount = Counter(op for record in index.records.values() for op in record.ops)
+    assert index._refs == recount
+    live = {
+        kind: {key for k, key in recount if k == kind} for kind in (0, 1, 2)
+    }
+    assert set(allocation.available) == live[0]
+    assert set(allocation.placements) == live[1]
+    assert set(allocation.flows) == live[2]
+    held = {
+        planner.catalog.get_query(query_id).result_stream
+        for query_id in allocation.admitted_queries
+    }
+    assert set(allocation.provided) == held
+    assert set(index.records) == held
 
 
 # --------------------------------------------------------------------- units
@@ -188,6 +224,94 @@ class TestSubPlanIndexUnit:
                 assert key in planner.allocation.flows
 
 
+class TestRetireCostsItsDelta:
+    """Retirement is O(delta), pinned by what it touches — not by a clock.
+
+    Twin planners hold 256 and then 2048 residents drawn Zipf from one pool
+    of 40 distinct queries (the e2e ``resident_turnover`` shape).  At either
+    population a duplicate's departure touches nothing and the last holder's
+    departure touches exactly its record's zero-count structures.
+    """
+
+    POOL = 40
+    ZIPF = 1.5
+    NUM_BASE = 10  # 45 arity-2 combinations >= POOL
+
+    @classmethod
+    def roomy_planner(cls, reuse_index: bool) -> SQPRPlanner:
+        # No time limit: a solve cut short returns a timing-dependent
+        # incumbent, and the twins must plan identically.
+        return SQPRPlanner(
+            build_catalog(num_base=cls.NUM_BASE, roomy=20.0),
+            config=PlannerConfig(time_limit=None, reuse_index=reuse_index),
+        )
+
+    def test_duplicate_and_last_holder_retires_at_256_and_2048(self):
+        rng = random.Random(7)
+        p_on, p_off = self.roomy_planner(True), self.roomy_planner(False)
+        combos = list(combinations([f"b{i}" for i in range(self.NUM_BASE)], 2))
+        rng.shuffle(combos)
+        pool = combos[: self.POOL]
+        weights = [1.0 / (rank + 1) ** self.ZIPF for rank in range(self.POOL)]
+        holders = {names: [] for names in pool}
+
+        def retire_both(query_id: int) -> None:
+            assert p_on.retire(query_id) is True
+            assert p_off.retire(query_id) is True
+            assert p_on.allocation.fingerprint() == p_off.allocation.fingerprint()
+            assert p_on.allocation.validate() == []
+
+        for target in (256, 2048):
+            missing = target - len(p_on.allocation.admitted_queries)
+            for names in rng.choices(pool, weights=weights, k=missing):
+                o_on = p_on.submit(query_over(*names))
+                o_off = p_off.submit(query_over(*names))
+                assert o_on.admitted and o_off.admitted
+                holders[names].append(o_on.query.query_id)
+            assert len(p_on.allocation.admitted_queries) == target
+            live, index = p_on.allocation, p_on._subplan_index
+            reextracted = index.stats["records_reextracted"]
+
+            # A duplicate leaves: same object, same structures, nothing touched.
+            crowded = max(pool, key=lambda names: len(holders[names]))
+            structural = live.structural_fingerprint()
+            live.drain_touched()
+            retire_both(holders[crowded].pop())
+            assert p_on.allocation is live
+            assert live.structural_fingerprint() == structural
+            assert live.peek_touched() == (set(), set(), set())
+
+            # The last holder leaves: only its zero-count structures go.
+            rare = min(
+                (names for names in pool if holders[names]),
+                key=lambda names: len(holders[names]),
+            )
+            while len(holders[rare]) > 1:
+                retire_both(holders[rare].pop())
+            last = holders[rare].pop()
+            result_stream = p_on.catalog.get_query(last).result_stream
+            record = index.records[result_stream]
+            exclusive = [op for op in record.ops if index._refs[op] == 1]
+            hosts, streams, operators = delta_touched_sets(
+                PlacementDelta(
+                    remove_available={key for kind, key in exclusive if kind == 0},
+                    remove_placements={key for kind, key in exclusive if kind == 1},
+                    remove_flows={key for kind, key in exclusive if kind == 2},
+                    unset_provided={result_stream},
+                ),
+                p_on.catalog,
+            )
+            hosts.add(record.provider)
+            live.drain_touched()
+            retire_both(last)
+            assert p_on.allocation is live
+            assert live.peek_touched() == (hosts, streams, operators)
+            assert result_stream not in index.records
+            assert index.stats["records_reextracted"] == reextracted
+            assert_index_invariants(p_on)
+        assert p_on.subplan_stats["stale_fallbacks"] == 0
+
+
 class TestReuseMatches:
     def test_exact_partial_and_fresh_classification(self):
         planner = make_planner(build_catalog(), reuse_index=True)
@@ -225,11 +349,14 @@ class TestReuseMatches:
 # ---------------------------------------------------------------- properties
 OPS = ["submit", "submit", "submit", "retire", "fail_host", "partition"]
 
-property_settings = settings(
+# The fast lane runs 10 examples; the full 25-example budget lives in the
+# ``slow`` twin below (CI runs ``-m slow``).  Same strategy, same assertions.
+full_settings = settings(
     max_examples=25,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
+fast_settings = settings(full_settings, max_examples=10)
 
 
 @st.composite
@@ -265,8 +392,18 @@ class TestIndexMatchesOracle:
     """Index-on == index-off across random lifecycle sequences."""
 
     @given(ops=op_sequences())
-    @property_settings
+    @fast_settings
     def test_random_sequences_agree_with_index_free_oracle(self, ops):
+        self.check_sequence(ops)
+
+    @pytest.mark.slow
+    @given(ops=op_sequences())
+    @full_settings
+    def test_random_sequences_agree_with_index_free_oracle_full(self, ops):
+        self.check_sequence(ops)
+
+    @staticmethod
+    def check_sequence(ops):
         p_on, p_off = paired_planners(two_sites=True)
         engines = (
             ClusterEngine(p_on.catalog, strict=False),
@@ -347,6 +484,9 @@ class TestIndexMatchesOracle:
                 query_id = rng.choice(admitted)
                 assert p_on.retire(query_id) == p_off.retire(query_id)
                 admitted.remove(query_id)
+            # No topology change in this walk: the invariants inside
+            # assert_twin_state must bind after every single step.
+            assert p_on._subplan_index.is_fresh(p_on.allocation)
             assert_twin_state(p_on, p_off)
         stats = p_on.subplan_stats
         assert stats["stale_fallbacks"] == 0
