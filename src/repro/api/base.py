@@ -89,7 +89,9 @@ class PlannerConfig:
     backend:
         MILP solver backend.
     max_abstract_plans:
-        Cap on abstract plan enumeration in the heuristic planner.
+        Cap on abstract plan enumeration in the §V-A greedy-reuse candidate
+        search (the heuristic planner, and the constructive stage-A start
+        of the SQPR planner — see ``warm_start``).
     use_miniw:
         Whether the SODA-like planner polishes placements with miniW swaps.
     record_plans:
@@ -103,12 +105,22 @@ class PlannerConfig:
         skips model construction and lowering entirely; it never changes
         planning results, because the key covers every build input.
     warm_start:
-        Warm-start successive solves from the previous planning round: the
-        last deployed placement seeds the branch-and-bound incumbent (by
-        variable name, so it survives model rebuilds), and within one solve
-        child nodes re-start the simplex from their parent's basis.
-        Disabling this forces every solve fully cold.  Warm and cold solves
-        reach the same optimum; only the time to get there differs.
+        Hand the solver a starting solution with every model, on both
+        backends.  A single query's frozen stage A gets a *constructive*
+        start: the best §V-A greedy-reuse placement
+        (:mod:`repro.core.candidates`) completed into a value for every
+        variable.  The solver accepts it only if the model's own rows admit
+        it; HiGHS then solves the root LP once and, when the start is within
+        ``mip_gap`` of that bound, returns it as optimal without entering
+        branch-and-cut — otherwise it searches on the remaining budget and
+        returns the better of its incumbent and the start.  Batches and
+        re-planning stages pass the last deployed placement as a partial,
+        name-keyed hint, which only the branch-and-bound backend consumes
+        (it also re-starts child-node LPs from the parent basis).
+        ``False`` forces every solve fully cold — the reference the
+        equivalence tests compare against.  Warm and cold planning admit
+        the same queries when run to optimality; their objectives agree
+        within ``mip_gap`` (two gap-optimal plans need not be equal).
     reuse_index:
         Maintain a persistent sub-plan index
         (:class:`repro.dsps.subplan.SubPlanIndex`) of every resident
@@ -165,6 +177,7 @@ _EXTRA_DEFAULTS: Dict[str, Any] = {
     "marginal_cpu": 0.0,
     "reused_model": False,
     "warm_seeded": False,
+    "incumbent_source": "",
     "reuse_exact": False,
     "reuse_partial": False,
     "reuse_overlapping_queries": 0,

@@ -18,8 +18,7 @@ multiple hosts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Union
+from typing import Optional, Union
 
 from repro.api.base import (
     Planner,
@@ -28,6 +27,7 @@ from repro.api.base import (
     deprecated_outcome_getattr,
 )
 from repro.api.registry import register_planner
+from repro.core.candidates import best_candidate
 from repro.core.weights import ObjectiveWeights
 from repro.dsps.allocation import Allocation, PlacementDelta
 from repro.dsps.catalog import SystemCatalog
@@ -38,15 +38,6 @@ __all__ = ["HeuristicPlanner"]
 
 
 __getattr__ = deprecated_outcome_getattr(__name__, ("HeuristicOutcome",))
-
-
-@dataclass
-class _Candidate:
-    """One (abstract plan, host) placement candidate."""
-
-    delta: PlacementDelta
-    score: float
-    host: int
 
 
 @register_planner("heuristic")
@@ -70,161 +61,6 @@ class HeuristicPlanner(Planner):
             if max_abstract_plans is not None
             else self.config.max_abstract_plans
         )
-
-    # ------------------------------------------------------------- abstract plans
-    def _abstract_plans(self, query: Query) -> List[FrozenSet[int]]:
-        """Enumerate operator sets that can produce the query's result stream."""
-        catalog = self.catalog
-        plans: List[FrozenSet[int]] = []
-
-        def expand(stream_id: int) -> List[FrozenSet[int]]:
-            stream = catalog.streams.get(stream_id)
-            if stream.is_base:
-                return [frozenset()]
-            alternatives: List[FrozenSet[int]] = []
-            for operator in catalog.producers_of(stream_id):
-                if operator.operator_id not in query.candidate_operators:
-                    continue
-                partials: List[FrozenSet[int]] = [frozenset({operator.operator_id})]
-                for input_id in operator.input_streams:
-                    sub_plans = expand(input_id)
-                    combined: List[FrozenSet[int]] = []
-                    for partial in partials:
-                        for sub in sub_plans:
-                            combined.append(partial | sub)
-                            if len(combined) >= self.max_abstract_plans:
-                                break
-                        if len(combined) >= self.max_abstract_plans:
-                            break
-                    partials = combined
-                alternatives.extend(partials)
-                if len(alternatives) >= self.max_abstract_plans:
-                    break
-            return alternatives[: self.max_abstract_plans]
-
-        plans = expand(query.result_stream)
-        return plans[: self.max_abstract_plans]
-
-    # ----------------------------------------------------------------- placement
-    def _try_place(
-        self, query: Query, operators: FrozenSet[int], host: int
-    ) -> Optional[_Candidate]:
-        """Try to implement the abstract plan ``operators`` at ``host``."""
-        catalog = self.catalog
-        allocation = self.allocation
-        host_obj = catalog.hosts.get(host)
-
-        delta = PlacementDelta()
-        delta.admit_queries.add(query.query_id)
-        new_cpu = 0.0
-        inbound: Dict[int, float] = {}  # src host -> added rate into `host`
-        needed: List[int] = [query.result_stream]
-        computed_here: Set[int] = set()
-        pulled: Set[int] = set()
-        by_output = {
-            catalog.get_operator(o).output_stream: catalog.get_operator(o)
-            for o in operators
-        }
-
-        while needed:
-            stream_id = needed.pop()
-            stream = catalog.streams.get(stream_id)
-            if allocation.is_available(host, stream_id) or (host, stream_id) in delta.add_available:
-                continue
-            if stream.is_base and host in catalog.base_hosts_of(stream_id):
-                delta.add_available.add((host, stream_id))
-                continue
-            # Aggressive reuse: pull the stream from any host that has it.
-            existing_hosts = allocation.hosts_with_stream(stream_id)
-            if existing_hosts and stream_id != query.result_stream:
-                source = min(existing_hosts)
-                delta.add_flows.add((source, host, stream_id))
-                delta.add_available.add((host, stream_id))
-                inbound[source] = inbound.get(source, 0.0) + catalog.stream_rate(stream_id)
-                pulled.add(stream_id)
-                continue
-            # Base stream not present here and not yet in the system: pull it
-            # from one of its injection points.
-            if stream.is_base:
-                base_hosts = catalog.base_hosts_of(stream_id)
-                if not base_hosts:
-                    return None
-                source = min(base_hosts)
-                delta.add_flows.add((source, host, stream_id))
-                delta.add_available.add((host, stream_id))
-                delta.add_available.add((source, stream_id))
-                inbound[source] = inbound.get(source, 0.0) + catalog.stream_rate(stream_id)
-                continue
-            # Otherwise compute it locally with the plan's operator.
-            operator = by_output.get(stream_id)
-            if operator is None:
-                return None
-            if operator.operator_id in computed_here:
-                continue
-            computed_here.add(operator.operator_id)
-            delta.add_placements.add((host, operator.operator_id))
-            delta.add_available.add((host, stream_id))
-            new_cpu += operator.cpu_cost
-            needed.extend(operator.input_streams)
-
-        delta.set_provided[query.result_stream] = host
-        delta.add_available.add((host, query.result_stream))
-
-        # ------------------------------------------------------- feasibility check
-        if allocation.cpu_used(host) + new_cpu > host_obj.cpu_capacity + 1e-9:
-            return None
-        added_in = sum(inbound.values())
-        if allocation.in_bandwidth_used(host) + added_in > host_obj.bandwidth_capacity + 1e-9:
-            return None
-        result_rate = catalog.stream_rate(query.result_stream)
-        if (
-            allocation.out_bandwidth_used(host) + result_rate
-            > host_obj.bandwidth_capacity + 1e-9
-        ):
-            return None
-        for source, added_rate in inbound.items():
-            source_obj = catalog.hosts.get(source)
-            if (
-                allocation.out_bandwidth_used(source) + added_rate
-                > source_obj.bandwidth_capacity + 1e-9
-            ):
-                return None
-            if allocation.link_used(source, host) + added_rate > catalog.link_capacity(
-                source, host
-            ) + 1e-9:
-                return None
-        if catalog.num_sites > 1:
-            # Shared WAN gateways: all new cross-site flows of this candidate
-            # must fit the remaining budget of their site pair jointly.
-            wan_added: Dict[tuple, float] = {}
-            for src, dst, stream_id in delta.add_flows:
-                src_site = catalog.site_of_host(src)
-                dst_site = catalog.site_of_host(dst)
-                if src_site != dst_site:
-                    pair = (src_site, dst_site)
-                    wan_added[pair] = wan_added.get(pair, 0.0) + catalog.stream_rate(
-                        stream_id
-                    )
-            for (src_site, dst_site), added in wan_added.items():
-                effective = catalog.effective_wan_capacity(src_site, dst_site)
-                if effective is None:
-                    continue
-                if allocation.wan_used(src_site, dst_site) + added > effective + 1e-9:
-                    return None
-
-        # ------------------------------------------------------------------- score
-        network_added = added_in
-        max_load_after = max(
-            allocation.cpu_used(h) + (new_cpu if h == host else 0.0)
-            for h in catalog.host_ids
-        )
-        score = (
-            self.weights.admission
-            - self.weights.network * network_added
-            - self.weights.cpu * new_cpu
-            - self.weights.balance * max_load_after
-        )
-        return _Candidate(delta=delta, score=score, host=host)
 
     # ---------------------------------------------------------------- submission
     def submit(self, query: Union[Query, QueryWorkloadItem]) -> PlanningOutcome:
@@ -264,13 +100,9 @@ class HeuristicPlanner(Planner):
                 )
                 return self._record(outcome)
 
-        best: Optional[_Candidate] = None
-        plans = self._abstract_plans(query)
-        for operators in plans:
-            for host in self.catalog.host_ids:
-                candidate = self._try_place(query, operators, host)
-                if candidate is not None and (best is None or candidate.score > best.score):
-                    best = candidate
+        best, plans_considered = best_candidate(
+            self.catalog, self.allocation, self.weights, query, self.max_abstract_plans
+        )
 
         admitted = best is not None
         if best is not None:
@@ -285,7 +117,7 @@ class HeuristicPlanner(Planner):
             rejection_reason="" if admitted else "no-feasible-placement",
             extras={
                 "host": best.host if best else None,
-                "plans_considered": len(plans),
+                "plans_considered": plans_considered,
             },
         )
         return self._record(outcome)

@@ -40,7 +40,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.reduction import ReplanScope
 from repro.core.weights import ObjectiveWeights
-from repro.dsps.allocation import Allocation
+from repro.dsps.allocation import Allocation, PlacementDelta
 from repro.dsps.catalog import SystemCatalog
 from repro.milp import LinExpr, Model, ObjectiveSense, Variable, VarType, lin_sum
 from repro.exceptions import ModelError
@@ -57,6 +57,8 @@ class SqprModel:
     x_vars: Dict[Tuple[int, int, int], Variable] = field(default_factory=dict)  # (src, dst, stream)
     y_vars: Dict[Tuple[int, int], Variable] = field(default_factory=dict)  # (host, stream)
     z_vars: Dict[Tuple[int, int], Variable] = field(default_factory=dict)  # (host, operator)
+    p_vars: Dict[Tuple[int, int], Variable] = field(default_factory=dict)  # (host, stream)
+    load_var: Optional[Variable] = None  # linearised O4 (maximum CPU load)
     requested_streams: FrozenSet[int] = frozenset()
     new_result_streams: FrozenSet[int] = frozenset()
     placed_operator_credit: Set[Tuple[int, int]] = field(default_factory=set)
@@ -68,6 +70,48 @@ class SqprModel:
     def num_binary_variables(self) -> int:
         """Number of binary variables in the reduced model."""
         return self.model.num_integer_variables
+
+    def start_from_delta(
+        self, catalog: SystemCatalog, delta: PlacementDelta, max_load: float
+    ) -> Optional[Dict[Variable, float]]:
+        """Complete an additive placement delta into a full assignment.
+
+        Meant for frozen-mode models, where a plan only *adds* structures:
+        ``d``/``x``/``z`` follow the delta, ``y`` is raised wherever the
+        delta provides, ships, receives, generates or consumes a stream
+        (streams already present there are covered by the model's
+        availability credits), every flow's sender gets potential 1 (the
+        delta's flows must be single-hop — receivers stay at 0) and
+        ``max_load`` takes the given value; everything else is 0.
+
+        Returns ``None`` when the delta names a structure the model has no
+        variable for (an offline host, an operator already credited as
+        placed).  The result is a *proposal*: whether the model's rows admit
+        it is for the solver's feasibility test to decide.
+        """
+        values = dict.fromkeys(self.model.variables, 0.0)
+        y_vars = self.y_vars
+        try:
+            for stream_id, host in delta.set_provided.items():
+                values[self.d_vars[(host, stream_id)]] = 1.0
+                values[y_vars[(host, stream_id)]] = 1.0
+            for key in delta.add_available:
+                values[y_vars[key]] = 1.0
+            for src, dst, stream_id in delta.add_flows:
+                values[self.x_vars[(src, dst, stream_id)]] = 1.0
+                values[y_vars[(src, stream_id)]] = 1.0
+                values[y_vars[(dst, stream_id)]] = 1.0
+                values[self.p_vars[(src, stream_id)]] = 1.0
+            for host, operator_id in delta.add_placements:
+                values[self.z_vars[(host, operator_id)]] = 1.0
+                operator = catalog.get_operator(operator_id)
+                values[y_vars[(host, operator.output_stream)]] = 1.0
+                for stream_id in operator.input_streams:
+                    values[y_vars[(host, stream_id)]] = 1.0
+        except KeyError:
+            return None
+        values[self.load_var] = max_load
+        return values
 
 
 def build_model(
@@ -195,13 +239,14 @@ def build_model(
     num_hosts = len(hosts)
     potential_cap = min(max(1, max_relay_hops), num_hosts + 1)
     big_m = potential_cap + 2
-    p_vars: Dict[Tuple[int, int], Variable] = {}
+    p_vars = built.p_vars
     for s in scope_streams:
         for h in hosts:
             p_vars[(h, s)] = model.add_continuous(f"p[{h},{s}]", 0.0, potential_cap)
     # Linearised O4 (maximum CPU load over hosts).
     max_cpu_capacity = max(catalog.hosts.get(h).cpu_capacity for h in hosts)
     load_var = model.add_continuous("max_load", 0.0, max_cpu_capacity * 10.0 + 1.0)
+    built.load_var = load_var
 
     # Availability credit: protected scope streams already available at a host
     # through immutable structures stay available there.  The stream→hosts

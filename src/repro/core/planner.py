@@ -4,9 +4,14 @@ The planner keeps the live :class:`~repro.dsps.allocation.Allocation` of the
 DSPS.  For every submitted query it
 
 1. checks whether the query's result stream is already provided (duplicate
-   queries are satisfied for free — Algorithm 1, line 3),
+   queries are satisfied for free — Algorithm 1, line 3) and screens out
+   queries whose result stream no placement could produce (a base stream
+   whose every injection host is down),
 2. computes the reduced re-planning scope (§IV-A),
-3. builds and solves the reduced MILP with the configured per-query timeout,
+3. builds the reduced MILP and solves it with the configured per-query
+   timeout — for a single query's frozen stage A the solver is handed the
+   best §V-A greedy-reuse placement as a complete warm start, which ends the
+   solve at the root LP when the model admits it and the bound certifies it,
 4. decodes the solution and — if the query was admitted — applies the
    placement delta, and
 5. records a :class:`PlanningOutcome` with timing and solver statistics.
@@ -25,8 +30,9 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from repro.api.base import Planner, PlannerConfig, PlanningOutcome
 from repro.api.registry import register_planner
-from repro.core.model_builder import ModelReuseCache, build_model
-from repro.core.reduction import compute_scope
+from repro.core.candidates import best_candidate
+from repro.core.model_builder import ModelReuseCache, SqprModel, build_model
+from repro.core.reduction import compute_scope, result_obtainable
 from repro.core.solution import decode_solution
 from repro.core.weights import ObjectiveWeights
 from repro.dsps.allocation import Allocation
@@ -35,7 +41,7 @@ from repro.dsps.plan import rebuild_minimal_allocation
 from repro.dsps.query import Query, QueryWorkloadItem
 from repro.dsps.subplan import ReuseMatch, SubPlanIndex, resolve_reuse_matches
 from repro.exceptions import PlanningError
-from repro.milp import MilpSolver
+from repro.milp import MilpSolver, Variable
 from repro.utils.timer import Stopwatch
 
 __all__ = ["PlannerConfig", "PlanningOutcome", "SQPRPlanner"]
@@ -218,18 +224,30 @@ class SQPRPlanner(Planner):
         }
 
         # Algorithm 1, line 3: queries whose result stream is already
-        # provided are satisfied without any planning.
+        # provided are satisfied without any planning.  Queries whose result
+        # stream cannot be produced at all are rejected without a model:
+        # the screen reads structure only (no capacities), so it never
+        # rejects a query some model variant could admit.
         to_plan: List[Query] = []
-        duplicate_outcomes: List[PlanningOutcome] = []
+        unplanned_outcomes: List[PlanningOutcome] = []
         for query in resolved:
             if self.allocation.is_provided(query.result_stream):
                 self.allocation.admit_query(query.query_id)
-                duplicate_outcomes.append(
+                unplanned_outcomes.append(
                     PlanningOutcome(
                         query=query,
                         admitted=True,
                         duplicate=True,
                         planning_time=0.0,
+                    )
+                )
+            elif not result_obtainable(self.catalog, self.allocation, query):
+                unplanned_outcomes.append(
+                    PlanningOutcome(
+                        query=query,
+                        admitted=False,
+                        planning_time=0.0,
+                        rejection_reason="screened:unobtainable-stream",
                     )
                 )
             else:
@@ -241,7 +259,7 @@ class SQPRPlanner(Planner):
                 time_limit = self.config.time_limit * len(to_plan)
             planned_outcomes = self._plan(to_plan, time_limit)
 
-        ordered = self._reorder(resolved, duplicate_outcomes + planned_outcomes)
+        ordered = self._reorder(resolved, unplanned_outcomes + planned_outcomes)
         for outcome in ordered:
             match = reuse_matches.get(outcome.query.query_id)
             if match is not None:
@@ -278,6 +296,43 @@ class SQPRPlanner(Planner):
             tuple(self.catalog.host_ids),
         )
 
+    def _stage_start(
+        self, queries: List[Query], built: SqprModel
+    ) -> Dict[Variable, float]:
+        """The warm start handed to the solver along with ``built``'s model.
+
+        A single query's frozen model (stage A) gets a *constructive* start:
+        the best §V-A greedy-reuse candidate — one abstract plan at one
+        host, scored with this planner's own objective weights — completed
+        into a value for every variable.  Both backends test it against the
+        model's rows before using it, so it can only save search, never
+        decide an admission the MILP would not.  Batches and re-planning
+        models keep the previous round's deployed placement as a partial,
+        name-keyed hint (shared sub-plans keep their variable names across
+        rebuilds), which only the branch-and-bound backend consumes.
+        """
+        if not self.config.warm_start:
+            return {}
+        if built.frozen_mode and len(queries) == 1:
+            candidate, _ = best_candidate(
+                self.catalog,
+                self.allocation,
+                self.weights,
+                queries[0],
+                self.config.max_abstract_plans,
+            )
+            if candidate is None:
+                return {}
+            start = built.start_from_delta(
+                self.catalog, candidate.delta, candidate.max_load
+            )
+            return start or {}
+        return {
+            var: self._last_values[var.name]
+            for var in built.model.variables
+            if var.name in self._last_values
+        }
+
     def _solve_stage(
         self,
         queries: List[Query],
@@ -313,18 +368,7 @@ class SQPRPlanner(Planner):
                 self.catalog, self.allocation, scope, self.weights, **build_kwargs
             )
             reused = False
-        if self.config.warm_start:
-            # Seed the solver with the previous round's deployed placement:
-            # shared sub-plans keep their variable names across rebuilds, so
-            # a feasible previous solution becomes the initial incumbent.
-            hint = {
-                var: self._last_values[var.name]
-                for var in built.model.variables
-                if var.name in self._last_values
-            }
-            built.model.set_warm_start(hint)
-        else:
-            built.model.set_warm_start({})
+        built.model.set_warm_start(self._stage_start(queries, built))
         basis_key = None
         if self.config.warm_start:
             # Dual-simplex warm start: resume the root relaxation from the
@@ -521,6 +565,7 @@ class SQPRPlanner(Planner):
                         "scope_operators": scope.num_operators,
                         "reused_model": reused,
                         "warm_seeded": bool(built.model.warm_start),
+                        "incumbent_source": result.incumbent_source,
                         "solver_counters": solver_counters,
                         "perturbation_resolve": self._resubmitting,
                     },

@@ -82,6 +82,51 @@ def _overlap_scored_scan(
     return scored
 
 
+def result_obtainable(
+    catalog: SystemCatalog, allocation: Allocation, query: Query
+) -> bool:
+    """Whether *any* plan could produce the query's result stream.
+
+    A stream is obtainable iff it is already available on an active host in
+    ``allocation``, or it is a base stream with a live injection host, or
+    one of the query's candidate operators produces it and is either
+    already placed on an active host or has only obtainable inputs.  These
+    are exactly the ways a ``y`` variable of the reduced model can reach 1
+    (credits, a base injection, a ``z`` with satisfied inputs — flows only
+    move a stream that is obtainable somewhere, and the potentials forbid
+    cycles), in every model variant: frozen and re-planning models differ
+    in which credits they grant, and this test grants all of them.
+
+    The test reads structure only — no capacities — so a query it rules
+    out is one no solve could admit; the converse does not hold.
+    """
+    live = set(catalog.host_ids)
+    known: Dict[int, bool] = {}
+
+    def obtainable(stream_id: int) -> bool:
+        verdict = known.get(stream_id)
+        if verdict is None:
+            known[stream_id] = False  # a stream cannot justify itself
+            verdict = known[stream_id] = (
+                not live.isdisjoint(allocation.hosts_with_stream(stream_id))
+                or (
+                    catalog.streams.get(stream_id).is_base
+                    and bool(catalog.base_hosts_of(stream_id))
+                )
+                or any(
+                    not live.isdisjoint(
+                        allocation.hosts_of_operator(operator.operator_id)
+                    )
+                    or all(obtainable(s) for s in operator.input_streams)
+                    for operator in catalog.producers_of(stream_id)
+                    if operator.operator_id in query.candidate_operators
+                )
+            )
+        return verdict
+
+    return obtainable(query.result_stream)
+
+
 @dataclass(frozen=True)
 class ReplanScope:
     """The reduced variable universe for one planning round.

@@ -39,11 +39,15 @@ from repro.milp.lp_backend import solve_lp
 from repro.milp.model import Model
 from repro.milp.result import SolveResult, SolveStatus
 from repro.milp.simplex import SimplexBasis, SolverCounters
-from repro.milp.standard_form import StandardForm, to_standard_form
+from repro.milp.standard_form import (
+    StandardForm,
+    round_integers,
+    seed_incumbent,
+    to_standard_form,
+)
 from repro.utils.timer import Deadline
 
 _INT_TOL = 1e-6
-_FEAS_TOL = 1e-6
 
 
 @dataclass
@@ -87,40 +91,6 @@ def _most_fractional(x: np.ndarray, integrality: np.ndarray) -> int:
             best_score = score
             best_index = int(i)
     return best_index
-
-
-def _round_integievable(x: np.ndarray, integrality: np.ndarray) -> np.ndarray:
-    """Round integer coordinates of ``x`` (used when they are near-integral)."""
-    rounded = x.copy()
-    int_idx = integrality > 0.5
-    rounded[int_idx] = np.round(rounded[int_idx])
-    return rounded
-
-
-def _seed_incumbent(model: Model, form: StandardForm) -> Optional[np.ndarray]:
-    """Turn the model's warm-start hint into a feasible incumbent, if it is one.
-
-    The hint may be partial: missing variables default to their lower bound.
-    Returns the standard-form vector or ``None`` when the hint is absent or
-    infeasible (bounds, integrality or any constraint violated).
-    """
-    hint = model.warm_start
-    if not hint:
-        return None
-    x = np.where(np.isfinite(form.lower), form.lower, 0.0)
-    for var, value in hint.items():
-        try:
-            x[form.index_of(var)] = float(value)
-        except KeyError:
-            return None  # hint refers to a variable of another model
-    x = _round_integievable(x, form.integrality)
-    if np.any(x < form.lower - _FEAS_TOL) or np.any(x > form.upper + _FEAS_TOL):
-        return None
-    if form.a_ub.shape[0] and np.any(form.a_ub.matvec(x) > form.b_ub + _FEAS_TOL):
-        return None
-    if form.a_eq.shape[0] and np.any(np.abs(form.a_eq.matvec(x) - form.b_eq) > _FEAS_TOL):
-        return None
-    return x
 
 
 def solve_branch_and_bound(model: Model, options: Optional[BnbOptions] = None) -> SolveResult:
@@ -188,11 +158,13 @@ def _search(
 
     incumbent_x: Optional[np.ndarray] = None
     incumbent_obj = math.inf  # in minimisation space
+    incumbent_source = "search"
     if options.warm_start:
-        seeded = _seed_incumbent(model, form)
+        seeded = seed_incumbent(model, form)
         if seeded is not None:
             incumbent_x = seeded
             incumbent_obj = float(c @ seeded)
+            incumbent_source = "start"
     best_bound = root.objective if root.objective is not None else -math.inf
 
     counter = itertools.count()
@@ -236,11 +208,12 @@ def _search(
         x = relaxation.x
         branch_var = _most_fractional(x, integrality)
         if branch_var < 0:
-            candidate = _round_integievable(x, integrality)
+            candidate = round_integers(x, integrality)
             obj = float(c @ candidate)
             if obj < incumbent_obj:
                 incumbent_obj = obj
                 incumbent_x = candidate
+                incumbent_source = "search"
             continue
         value = x[branch_var]
         floor_val = math.floor(value + _INT_TOL)
@@ -299,4 +272,5 @@ def _search(
         nodes=nodes_processed,
         lp_counters=counters.to_dict(),
         root_basis=root_basis,
+        incumbent_source=incumbent_source,
     )

@@ -59,6 +59,10 @@ class SolveResult:
         relaxation, when the in-repo simplex produced one.  Callers can
         feed it back via ``Model.set_basis_hint`` to dual-warm-start the
         next solve of a perturbed version of the same model.
+    incumbent_source:
+        Where the returned incumbent came from: ``"start"`` when it is the
+        caller's warm start (``Model.set_warm_start``) unimproved,
+        ``"search"`` when the backend found it, empty without an incumbent.
     """
 
     status: SolveStatus
@@ -70,6 +74,7 @@ class SolveResult:
     backend: str = ""
     lp_counters: Dict[str, int] = field(default_factory=dict)
     root_basis: Optional[Any] = None
+    incumbent_source: str = ""
 
     @property
     def has_solution(self) -> bool:

@@ -45,9 +45,15 @@ class MilpSolver:
     mip_gap:
         Relative optimality gap at which the search may stop.
     warm_start:
-        Let the branch-and-bound backend seed its incumbent from the
-        model's warm-start hint and re-start child-node LPs from the parent
-        basis.  HiGHS ignores this (scipy exposes no warm-start API).
+        Honour the model's warm-start hint (``Model.set_warm_start``): a
+        hint that passes the shared feasibility test
+        (:func:`repro.milp.standard_form.seed_incumbent`) becomes the
+        initial incumbent.  The branch-and-bound backend accepts partial
+        hints and also re-starts child-node LPs from the parent basis; the
+        HiGHS backend needs a complete hint, certifies it against the root
+        LP bound and skips branch-and-cut when it is within ``mip_gap``
+        (see :func:`repro.milp.scipy_backend.solve_with_highs`).  ``False``
+        makes every solve cold on both backends.
     lp_engine:
         LP relaxation engine for the branch-and-bound backend (``"auto"``,
         ``"scipy"``, ``"simplex"``, ``"dense"`` — see
@@ -81,7 +87,12 @@ class MilpSolver:
         if backend is SolverBackend.HIGHS:
             if not highs_available():
                 raise SolverError("HiGHS backend requested but scipy.optimize.milp is missing")
-            return solve_with_highs(model, time_limit=limit, mip_rel_gap=self.mip_gap)
+            return solve_with_highs(
+                model,
+                time_limit=limit,
+                mip_rel_gap=self.mip_gap,
+                warm_start=self.warm_start,
+            )
         options = BnbOptions(
             time_limit=limit,
             relative_gap=self.mip_gap,

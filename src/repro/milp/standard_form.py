@@ -35,7 +35,7 @@ touching its declared bounds).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -44,6 +44,8 @@ from repro.milp.constraint import ConstraintSense
 from repro.milp.model import Model, ObjectiveSense
 from repro.milp.expression import Variable
 from repro.milp.sparse import CsrMatrix
+
+_FEAS_TOL = 1e-6
 
 
 @dataclass
@@ -165,3 +167,40 @@ def _lower(model: Model) -> StandardForm:
         objective_sign=sign,
         objective_offset=offset,
     )
+
+
+# ------------------------------------------------------------- warm starts
+def round_integers(x: np.ndarray, integrality: np.ndarray) -> np.ndarray:
+    """Round integer coordinates of ``x`` (used when they are near-integral)."""
+    rounded = x.copy()
+    int_idx = integrality > 0.5
+    rounded[int_idx] = np.round(rounded[int_idx])
+    return rounded
+
+
+def seed_incumbent(model: Model, form: StandardForm) -> Optional[np.ndarray]:
+    """Turn the model's warm-start hint into a feasible incumbent, if it is one.
+
+    The one feasibility test every backend applies to a caller-supplied
+    start.  The hint may be partial: missing variables default to their
+    lower bound.  Returns the standard-form vector or ``None`` when the hint
+    is absent, names a variable of another model, or is infeasible (bounds,
+    integrality or any constraint violated).
+    """
+    hint = model.warm_start
+    if not hint:
+        return None
+    x = np.where(np.isfinite(form.lower), form.lower, 0.0)
+    for var, value in hint.items():
+        try:
+            x[form.index_of(var)] = float(value)
+        except KeyError:
+            return None  # hint refers to a variable of another model
+    x = round_integers(x, form.integrality)
+    if np.any(x < form.lower - _FEAS_TOL) or np.any(x > form.upper + _FEAS_TOL):
+        return None
+    if form.a_ub.shape[0] and np.any(form.a_ub.matvec(x) > form.b_ub + _FEAS_TOL):
+        return None
+    if form.a_eq.shape[0] and np.any(np.abs(form.a_eq.matvec(x) - form.b_eq) > _FEAS_TOL):
+        return None
+    return x

@@ -268,6 +268,7 @@ class AdmissionService:
         self._m_deploy_failures = registry.counter("deploy_failures_total")
         self._m_reuse_exact = registry.counter("reuse_exact_total")
         self._m_reuse_partial = registry.counter("reuse_partial_total")
+        self._m_start_incumbents = registry.counter("start_incumbents_total")
         self._m_queue_depth = registry.gauge("queue_depth")
         self._m_batch_size = registry.histogram(
             "batch_size", lowest=1.0, highest=4096.0, growth=2.0
@@ -504,6 +505,10 @@ class AdmissionService:
                 self._m_reuse_exact.inc()
             elif outcome.reuse_partial:
                 self._m_reuse_partial.inc()
+            # Decisions whose solve returned the planner's warm start
+            # rather than an incumbent found by search.
+            if outcome.incumbent_source == "start":
+                self._m_start_incumbents.inc()
         self._observe_solver_counters(outcomes)
         self._publish_worker_metrics()
         allocation = self.planner.allocation

@@ -250,18 +250,39 @@ class TestPipelinedService:
         assert all(ticket.done() for ticket in tickets)
 
     def test_flush_timeout_raises(self):
-        service, _, _ = make_service(pipelined=True)
-        # Stall the solver by holding the deploy queue full.
-        service._deploys.put(("stall", ([], None, (set(), set(), set()))))
-        service.submit(small_workload(1)[0])
-        with pytest.raises(AdmissionTimeout):
-            service.flush(timeout=0.05)
-        # Unstick and shut down cleanly.
+        service, planner, _ = make_service(pipelined=True)
+        # Hold the solver stage on an event, so the timeout does not depend
+        # on how long a solve happens to take.
+        release = threading.Event()
+        plan_batch = planner.submit_batch
+
+        def held_submit_batch(*args, **kwargs):
+            assert release.wait(timeout=30.0)
+            return plan_batch(*args, **kwargs)
+
+        planner.submit_batch = held_submit_batch
+        ticket = service.submit(small_workload(1)[0])
         try:
-            service._deploys.get_nowait()
-        except Exception:
-            pass
-        service.close(wait=False)
+            with pytest.raises(AdmissionTimeout):
+                service.flush(timeout=0.05)
+            assert not ticket.done()
+        finally:
+            release.set()
+        service.flush(timeout=30.0)
+        assert ticket.result(timeout=5.0).admitted
+        service.close()
+
+
+class TestStartIncumbentMetric:
+    def test_counts_decisions_deployed_from_the_warm_start(self):
+        service, planner, _ = make_service(pipelined=False)
+        tickets = [service.submit(item) for item in small_workload(4)]
+        outcomes = [ticket.result() for ticket in tickets]
+        from_start = sum(o.incumbent_source == "start" for o in outcomes)
+        assert from_start >= 1
+        counters = service.metrics.snapshot()["counters"]
+        assert counters["start_incumbents_total"] == from_start
+        service.close()
 
 
 class TestFallbackPolicies:

@@ -9,6 +9,7 @@ from repro.baselines.soda.macroq import admit_queries, marginal_cpu_requirement
 from repro.baselines.soda.macrow import place_template
 from repro.baselines.soda.planner import SodaPlanner
 from repro.baselines.soda.templates import build_template
+from repro.core.candidates import abstract_plans
 from repro.dsps.allocation import Allocation
 from tests.conftest import make_catalog, query_over
 
@@ -60,7 +61,7 @@ class TestHeuristicPlanner:
     def test_abstract_plan_enumeration_bushy(self, bushy_catalog):
         planner = HeuristicPlanner(bushy_catalog)
         query = bushy_catalog.register_query(query_over("b0", "b1", "b2"))
-        plans = planner._abstract_plans(query)
+        plans = abstract_plans(bushy_catalog, query, planner.max_abstract_plans)
         # Three bushy decompositions of a 3-way join.
         assert len(plans) == 3
         for plan in plans:

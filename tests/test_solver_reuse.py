@@ -100,13 +100,17 @@ def _run_workload(name: str, reuse: bool):
 class TestPlannerWarmStartEquivalence:
     @pytest.mark.parametrize("name", ALL_PLANNERS)
     def test_warm_and_cold_planning_agree(self, name):
-        _, warm_outcomes = _run_workload(name, reuse=True)
+        planner, warm_outcomes = _run_workload(name, reuse=True)
         _, cold_outcomes = _run_workload(name, reuse=False)
         assert [o.admitted for o in warm_outcomes] == [o.admitted for o in cold_outcomes]
+        # SQPR's warm solves start from a constructive incumbent and stop at
+        # the configured gap: two gap-optimal plans need not be equal.  The
+        # other planners do no search and must agree exactly.
+        rel = planner.config.mip_gap if name == "sqpr" else 1e-6
         for warm, cold in zip(warm_outcomes, cold_outcomes):
             if warm.objective_value is not None and cold.objective_value is not None:
                 assert warm.objective_value == pytest.approx(
-                    cold.objective_value, rel=1e-6, abs=1e-6
+                    cold.objective_value, rel=rel, abs=1e-6
                 )
 
     def test_sqpr_reports_reuse_extras(self):
