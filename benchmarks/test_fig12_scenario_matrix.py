@@ -6,8 +6,8 @@ serial (``workers=1``) and fanned out over the shared worker pool
 elapsed time.  The load-bearing assertion is *parity*, not speedup: the
 two sweeps must produce identical per-cell fingerprints, pinning the
 runner's contract that concurrency changes wall-clock and never results.
-(Planner cells are pure Python under the GIL, so wall-clock gains are
-workload-dependent; the report records the ratio without asserting it.)
+(Wall-clock gains depend on the core count and on how much of a cell
+runs inside HiGHS; the report records the ratio without asserting it.)
 
 The report is written to ``BENCH_matrix.json`` at the repository root
 (format documented in ``docs/benchmarks.md``).  Set ``MATRIX_BENCH_QUICK=1``

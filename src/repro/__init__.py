@@ -194,14 +194,6 @@ __all__ = [
     "__version__",
 ]
 
-#: Pre-unification outcome types, kept as deprecated aliases of
-#: :class:`PlanningOutcome` (planner-specific fields moved to ``extras``).
-from repro.api.base import deprecated_outcome_getattr as _deprecated_outcome_getattr
-
-_outcome_getattr = _deprecated_outcome_getattr(
-    __name__, ("HeuristicOutcome", "SodaOutcome", "OptimisticOutcome")
-)
-
 
 def __getattr__(name):
     # The timeline drivers are resolved lazily so that running the module
@@ -212,4 +204,4 @@ def __getattr__(name):
         from repro.experiments import timeline
 
         return getattr(timeline, name)
-    return _outcome_getattr(name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -133,14 +133,6 @@ class PlannerConfig:
         (:func:`repro.dsps.plan.rebuild_minimal_allocation`) is the
         cross-check oracle, and both produce identical allocations and
         fingerprints.  SQPR-planner only; other planners ignore it.
-    exec_backend:
-        Execution backend for planners that fan independent work units
-        out on a pool (the federated planner's per-site shard groups):
-        ``"serial"``, ``"thread"`` (default) or ``"process"``.  The
-        process backend runs shard solves on long-lived worker processes
-        holding warm planner replicas — true multicore on the GIL-bound
-        solver core.  Decisions and allocation fingerprints are
-        identical across backends; only wall-clock differs.
     """
 
     time_limit: Optional[float] = 1.0
@@ -160,7 +152,6 @@ class PlannerConfig:
     reuse_model: bool = True
     warm_start: bool = True
     reuse_index: bool = True
-    exec_backend: str = "thread"
 
 
 #: Defaults for well-known planner-specific extras, so the legacy attribute
@@ -251,30 +242,6 @@ class PlanningOutcome:
             f"PlanningOutcome(query={self.query.query_id}, {verdict}, "
             f"{self.planning_time * 1000:.1f} ms{reason})"
         )
-
-
-def deprecated_outcome_getattr(
-    module_name: str, names: Sequence[str]
-) -> Callable[[str], Any]:
-    """Build a module-level ``__getattr__`` (PEP 562) that maps the legacy
-    per-planner outcome names in ``names`` to :class:`PlanningOutcome` with
-    a :class:`DeprecationWarning`.  Shared by every module that used to
-    define its own outcome type."""
-
-    def __getattr__(attr: str) -> Any:
-        if attr in names:
-            warnings.warn(
-                f"{module_name}.{attr} is deprecated; all planners now "
-                "return repro.api.PlanningOutcome (planner-specific fields "
-                "are in outcome.extras; only reads are preserved — the "
-                "legacy constructor signature is not)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            return PlanningOutcome
-        raise AttributeError(f"module {module_name!r} has no attribute {attr!r}")
-
-    return __getattr__
 
 
 @dataclass

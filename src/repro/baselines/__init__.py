@@ -7,22 +7,13 @@
   (macroQ admission, macroW placement, miniW local improvement) with stream
   gluing for reuse and no relaying.
 
-Both return the unified :class:`repro.api.PlanningOutcome`; the old
-``HeuristicOutcome`` / ``SodaOutcome`` names are deprecated aliases of it.
+Both return the unified :class:`repro.api.PlanningOutcome`.
 """
 
-from repro.api.base import deprecated_outcome_getattr
 from repro.baselines.heuristic import HeuristicPlanner
 from repro.baselines.soda.planner import SodaPlanner
 
-# The deprecated outcome aliases are reachable by attribute access (via the
-# module __getattr__ below) but deliberately left out of __all__ so that
-# star-imports do not trigger DeprecationWarning.
 __all__ = [
     "HeuristicPlanner",
     "SodaPlanner",
 ]
-
-__getattr__ = deprecated_outcome_getattr(
-    __name__, ("HeuristicOutcome", "SodaOutcome")
-)

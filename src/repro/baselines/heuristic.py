@@ -20,12 +20,7 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.api.base import (
-    Planner,
-    PlannerConfig,
-    PlanningOutcome,
-    deprecated_outcome_getattr,
-)
+from repro.api.base import Planner, PlannerConfig, PlanningOutcome
 from repro.api.registry import register_planner
 from repro.core.candidates import best_candidate
 from repro.core.weights import ObjectiveWeights
@@ -35,9 +30,6 @@ from repro.dsps.query import Query, QueryWorkloadItem
 from repro.utils.timer import Stopwatch
 
 __all__ = ["HeuristicPlanner"]
-
-
-__getattr__ = deprecated_outcome_getattr(__name__, ("HeuristicOutcome",))
 
 
 @register_planner("heuristic")

@@ -11,11 +11,7 @@ SODA [9] plans queries in epochs and in stages:
 * :mod:`planner` — the :class:`SodaPlanner` facade.
 """
 
-from repro.api.base import deprecated_outcome_getattr
 from repro.baselines.soda.planner import SodaPlanner
 from repro.baselines.soda.templates import QueryTemplate, build_template
 
 __all__ = ["SodaPlanner", "QueryTemplate", "build_template"]
-
-
-__getattr__ = deprecated_outcome_getattr(__name__, ("SodaOutcome",))

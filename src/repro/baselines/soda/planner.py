@@ -15,12 +15,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Union
 
-from repro.api.base import (
-    Planner,
-    PlannerConfig,
-    PlanningOutcome,
-    deprecated_outcome_getattr,
-)
+from repro.api.base import Planner, PlannerConfig, PlanningOutcome
 from repro.api.registry import register_planner
 from repro.baselines.soda.macroq import admit_queries
 from repro.baselines.soda.macrow import place_template
@@ -32,9 +27,6 @@ from repro.dsps.query import Query, QueryWorkloadItem
 from repro.utils.timer import Stopwatch
 
 __all__ = ["SodaPlanner"]
-
-
-__getattr__ = deprecated_outcome_getattr(__name__, ("SodaOutcome",))
 
 
 @register_planner("soda")

@@ -6,7 +6,6 @@ streams and operators related to that query (§IV-A), and solved with a
 timeout after which the best incumbent is used.
 """
 
-from repro.api.base import deprecated_outcome_getattr
 from repro.core.weights import ObjectiveWeights
 from repro.core.reduction import ReplanScope, compute_scope
 from repro.core.model_builder import SqprModel, build_model
@@ -14,11 +13,6 @@ from repro.core.solution import decode_solution
 from repro.core.planner import PlannerConfig, PlanningOutcome, SQPRPlanner
 from repro.core.adaptive import AdaptiveReplanner, garbage_collect
 from repro.core.optimistic import OptimisticBoundPlanner
-
-
-__getattr__ = deprecated_outcome_getattr(
-    __name__, ("OptimisticOutcome",)
-)
 
 
 __all__ = [

@@ -46,12 +46,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.api.base import Planner, PlannerConfig, PlanningOutcome
 from repro.api.registry import get_planner_class, register_planner, resolve_planner_name
 from repro.dsps.allocation import Allocation
-from repro.utils.pool import BACKENDS, PersistentProcessPool, map_in_pool
-from repro.core.federated_worker import (
-    apply_allocation_ops,
-    dump_allocation,
-    make_shard_worker,
-)
+from repro.utils.pool import map_in_pool
 from repro.dsps.catalog import GatewayCatalogView, SiteCatalogView, SystemCatalog
 from repro.dsps.query import Query, QueryWorkloadItem
 from repro.exceptions import PlanningError
@@ -73,40 +68,18 @@ class FederatedPlanner(Planner):
         config: Optional[PlannerConfig] = None,
         inner: str = "sqpr",
         workers: Optional[int] = None,
-        backend: Optional[str] = None,
     ) -> None:
         super().__init__(catalog, config)
         if workers is not None and workers < 1:
             raise PlanningError(f"workers must be >= 1, got {workers}")
         #: Pool width for concurrent shard planning in
         #: :meth:`submit_batch` (``None``/1 = plan site groups serially
-        #: on the thread backend; the process backend still forks one
-        #: worker).  The per-site shards are embarrassingly parallel:
+        #: in the caller).  The per-site shards are embarrassingly parallel:
         #: each one reads the shared catalog (immutable during a batch —
         #: queries are resolved up front) and mutates only its own
         #: allocation, solver and reuse cache, so concurrent execution
         #: returns exactly the serial results.
         self.workers = workers
-        backend = backend if backend is not None else self.config.exec_backend
-        if backend not in BACKENDS:
-            raise PlanningError(
-                f"unknown execution backend {backend!r}; expected one of "
-                f"{BACKENDS}"
-            )
-        #: Execution backend for shard fan-out: ``serial``/``thread`` run
-        #: the per-site groups in this process; ``process`` plans them on
-        #: long-lived forked workers holding warm shard replicas, kept in
-        #: sync with compact deltas (see :mod:`repro.core.federated_worker`).
-        self.backend = backend
-        # Process-backend state: the persistent pool is created lazily on
-        # the first batch (forking then inherits all warm shard state).
-        self._pool: Optional[PersistentProcessPool] = None
-        self._worker_sites: Dict[int, List[int]] = {}
-        self._site_worker: Dict[int, int] = {}
-        self._worker_events: Dict[int, List] = {}
-        self._worker_cursor: Dict[int, int] = {}
-        self._stale_sites = set()
-        self._foreign_shipped: Dict[int, object] = {}
         self.inner_name = resolve_planner_name(inner)
         if self.inner_name == "federated":
             raise PlanningError("federated planners cannot nest")
@@ -158,194 +131,6 @@ class FederatedPlanner(Planner):
                 self._views[site].refresh()
             else:
                 self._add_shard(site)
-
-    # ----------------------------------------------------- process-pool fabric
-    def _ensure_pool(self) -> None:
-        """Fork the persistent worker pool on first use (process backend).
-
-        Forking *after* the shards exist means every worker inherits warm
-        replicas — planners, reuse caches, views, current allocations —
-        without pickling a single byte; only the later deltas cross the
-        pipe.  Sites are assigned round-robin over ``workers`` slots;
-        sites appearing after the fork stay parent-planned.
-        """
-        if self._pool is not None or self.backend != "process":
-            return
-        sites = sorted(self._shards)
-        if not sites:
-            return
-        width = max(1, min(self.workers or 1, len(sites)))
-        assignment = {site: index % width for index, site in enumerate(sites)}
-        payloads = []
-        for worker_id in range(width):
-            owned = [site for site in sites if assignment[site] == worker_id]
-            payloads.append(
-                {
-                    "catalog": self.catalog,
-                    "views": {site: self._views[site] for site in owned},
-                    "shards": {site: self._shards[site] for site in owned},
-                    "inner_cls": self._inner_cls,
-                    "inner_name": self.inner_name,
-                    "config": self.config,
-                    "cursor": self.catalog.num_registrations,
-                }
-            )
-        self._pool = PersistentProcessPool(
-            make_shard_worker, payloads, name="federated-shard"
-        )
-        self._site_worker = assignment
-        self._worker_sites = {
-            worker_id: [site for site in sites if assignment[site] == worker_id]
-            for worker_id in range(width)
-        }
-        self._worker_events = {worker_id: [] for worker_id in range(width)}
-        self._worker_cursor = {
-            worker_id: self.catalog.num_registrations
-            for worker_id in range(width)
-        }
-        self._stale_sites = set()
-        self._foreign_shipped = {}
-        for site, view in self._views.items():
-            foreign = view.foreign_allocation
-            self._foreign_shipped[site] = (
-                None if foreign is None else foreign.fingerprint()
-            )
-
-    def _queue_shard_event(self, event, site: Optional[int] = None) -> None:
-        """Queue a replay-ready mutation for the owning worker's replica.
-
-        Events ride along with the next plan request (no extra round
-        trip).  Any replay divergence — e.g. a drop replayed under
-        different catalog liveness than the parent computed it — is
-        caught by the pre-plan fingerprint check and answered with a
-        full-state resync, so queued events can be lossy in the worst
-        case but never wrong.
-        """
-        if self._pool is None:
-            return
-        if site is None:
-            for worker_id in self._worker_events:
-                self._worker_events[worker_id].append(event)
-            return
-        worker_id = self._site_worker.get(site)
-        if worker_id is not None:
-            self._worker_events[worker_id].append(event)
-
-    def _build_plan_body(self, worker_id, groups, time_limit):
-        """Assemble one worker's plan request: deltas, events, groups."""
-        events = self._worker_events[worker_id]
-        self._worker_events[worker_id] = []
-        log = self.catalog.registration_log
-        cursor = self._worker_cursor[worker_id]
-        self._worker_cursor[worker_id] = len(log)
-        foreign = {}
-        for site in self._worker_sites[worker_id]:
-            view_foreign = self._views[site].foreign_allocation
-            fingerprint = (
-                None if view_foreign is None else view_foreign.fingerprint()
-            )
-            if self._foreign_shipped.get(site, "unsent") != fingerprint:
-                foreign[site] = (
-                    None
-                    if view_foreign is None
-                    else dump_allocation(view_foreign)
-                )
-                self._foreign_shipped[site] = fingerprint
-        body_groups = []
-        for site, group in groups:
-            shard = self._shards[site]
-            body_groups.append(
-                {
-                    "site": site,
-                    "query_ids": [query.query_id for query in group],
-                    "expect_fp": shard.allocation.fingerprint(),
-                    # A site mutated parent-side since the last sync (a
-                    # single submit outside any batch) ships its full
-                    # allocation proactively, skipping the mismatch
-                    # round-trip the fingerprint check would force.
-                    "alloc": (
-                        dump_allocation(shard.allocation)
-                        if site in self._stale_sites
-                        else None
-                    ),
-                }
-            )
-            self._stale_sites.discard(site)
-        return {
-            "registrations": log[cursor:],
-            "sync": self.catalog.sync_state(),
-            "struct_sig": self.catalog.structure_signature(),
-            "events": events,
-            "foreign": foreign,
-            "groups": body_groups,
-            "time_limit": time_limit,
-        }
-
-    def _resync_worker(self, worker_id: int) -> None:
-        """Full-state fallback: ship the catalog and allocation dumps."""
-        sites = {}
-        foreign = {}
-        for site in self._worker_sites[worker_id]:
-            sites[site] = dump_allocation(self._shards[site].allocation)
-            view_foreign = self._views[site].foreign_allocation
-            foreign[site] = (
-                None if view_foreign is None else dump_allocation(view_foreign)
-            )
-            self._foreign_shipped[site] = (
-                None if view_foreign is None else view_foreign.fingerprint()
-            )
-            self._stale_sites.discard(site)
-        self._worker_events[worker_id] = []
-        self._worker_cursor[worker_id] = self.catalog.num_registrations
-        self._pool.call(
-            worker_id,
-            "resync",
-            {
-                "catalog": self.catalog,
-                "cursor": self.catalog.num_registrations,
-                "sites": sites,
-                "foreign": foreign,
-            },
-        )
-        self._pool.stats[worker_id].resyncs += 1
-
-    def _adopt_worker_group(self, entry):
-        """Replay one worker group's allocation ops onto the parent shard.
-
-        The parent shard allocation is mutated with exactly the ops the
-        worker's solve produced, then cross-checked against the worker's
-        post-solve rolling fingerprint — the merge that follows therefore
-        sees bit-identical contents to the thread path.
-        """
-        site = entry["site"]
-        shard = self._shards[site]
-        apply_allocation_ops(shard.allocation, entry["ops"])
-        if shard.allocation.fingerprint() != entry["post_fp"]:
-            raise PlanningError(
-                f"federated process backend: site {site} allocation "
-                "diverged from its worker replica after op replay"
-            )
-        # Mirror the worker-side recording so shard_stats() and shard
-        # hooks behave exactly as on the thread path.
-        shard._record_many(entry["outcomes"])
-        return site, entry["outcomes"], entry["changed"]
-
-    def close(self) -> None:
-        """Shut the persistent worker pool down (no-op on thread/serial)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def worker_stats(self) -> Dict[str, object]:
-        """Backend and per-worker utilisation (tasks, busy time, resyncs)."""
-        if self._pool is None:
-            return {"backend": self.backend, "workers": []}
-        workers = []
-        for worker_id, stats in enumerate(self._pool.stats):
-            record = stats.as_dict()
-            record["sites"] = list(self._worker_sites.get(worker_id, []))
-            workers.append(record)
-        return {"backend": self.backend, "workers": workers}
 
     # -------------------------------------------------------- merged allocation
     @property
@@ -469,7 +254,6 @@ class FederatedPlanner(Planner):
             stale = sorted(set(shard.allocation.admitted_queries) - keep)
             if stale:
                 shard.allocation = shard.allocation.without_queries(stale)
-                self._queue_shard_event(("drop", site, stale), site)
         coordinator = self._coordinator
         stale = sorted(
             qid
@@ -553,11 +337,6 @@ class FederatedPlanner(Planner):
         )
         if outcome.admitted or changed:
             self._rebuild_merged()
-        if changed and site is not None and self._pool is not None:
-            # A parent-side single submit leaves the worker replica behind;
-            # ship the full allocation proactively with the next batch
-            # instead of paying a fingerprint-mismatch round trip.
-            self._stale_sites.add(site)
         outcome.extras["site"] = owner_key
         return outcome
 
@@ -616,18 +395,12 @@ class FederatedPlanner(Planner):
             )
             return site, group_outcomes, changed
 
-        if self.backend == "process" and site_groups:
-            planned = self._plan_groups_process(
-                site_groups, time_limit, plan_site
-            )
-        else:
-            planned = map_in_pool(
-                lambda entry: plan_site(*entry),
-                list(site_groups.items()),
-                workers=self.workers,
-                thread_name_prefix="federated-shard",
-                backend="serial" if self.backend == "serial" else "thread",
-            )
+        planned = map_in_pool(
+            lambda entry: plan_site(*entry),
+            list(site_groups.items()),
+            workers=self.workers,
+            thread_name_prefix="federated-shard",
+        )
         for site, group_outcomes, changed in planned:
             mutated = mutated or changed
             for outcome in group_outcomes:
@@ -646,68 +419,6 @@ class FederatedPlanner(Planner):
         ordered = self._reorder(resolved, outcomes)
         return self._record_many(ordered)
 
-    def _plan_groups_process(self, site_groups, time_limit, plan_site):
-        """Fan the per-site groups out over the persistent process pool.
-
-        Each worker plans its owned sites' groups on warm replicas and
-        ships back sanitized outcomes plus allocation op-diffs; the
-        parent replays the ops onto its own shard allocations, so the
-        merge that follows sees bit-identical contents to the thread
-        path.  A worker answering ``resync`` (fingerprint or structure
-        drift) gets a full-state resync and one retry; sites that
-        appeared after the fork are planned parent-side.
-        """
-        self._ensure_pool()
-        by_worker: Dict[int, List] = {}
-        local: List = []
-        for site, group in site_groups.items():
-            worker_id = self._site_worker.get(site)
-            if worker_id is None:
-                local.append((site, group))
-            else:
-                by_worker.setdefault(worker_id, []).append((site, group))
-        planned_by_site: Dict[int, object] = {}
-
-        def adopt(response) -> None:
-            for entry in response["groups"]:
-                planned_by_site[entry["site"]] = self._adopt_worker_group(entry)
-
-        if by_worker:
-            assignments = {
-                worker_id: (
-                    "plan",
-                    self._build_plan_body(worker_id, groups, time_limit),
-                )
-                for worker_id, groups in by_worker.items()
-            }
-            retry = {}
-            for worker_id, response in self._pool.scatter(assignments).items():
-                if response["status"] == "resync":
-                    self._resync_worker(worker_id)
-                    # After a full-state resync the rebuilt body carries no
-                    # deltas and fresh expected fingerprints, so the retry
-                    # can only fail on a genuine protocol bug.
-                    retry[worker_id] = (
-                        "plan",
-                        self._build_plan_body(
-                            worker_id, by_worker[worker_id], time_limit
-                        ),
-                    )
-                else:
-                    adopt(response)
-            if retry:
-                for worker_id, response in self._pool.scatter(retry).items():
-                    if response["status"] != "ok":
-                        raise PlanningError(
-                            f"federated worker {worker_id} still out of sync "
-                            "after a full-state resync "
-                            f"({response.get('reason', 'unknown')})"
-                        )
-                    adopt(response)
-        for site, group in local:
-            planned_by_site[site] = plan_site(site, group)
-        return [planned_by_site[site] for site in site_groups]
-
     # --------------------------------------------------------------- lifecycle
     def retire(self, query_id: int) -> bool:
         """Retire through the owning shard (or the coordinator)."""
@@ -724,8 +435,6 @@ class FederatedPlanner(Planner):
         if not removed:
             # Nothing left the inner planner, so the merge is unchanged.
             return False
-        if owner_key != _COORDINATOR:
-            self._queue_shard_event(("retire", owner_key, query_id), owner_key)
         self._rebuild_merged()
         return True
 
@@ -738,7 +447,6 @@ class FederatedPlanner(Planner):
         """
         self._refresh_shards()
         self._remainder_cache = None
-        self._queue_shard_event(("topology", None, None))
         dropped: List[int] = []
         for planner in self._inner_planners():
             dropped.extend(planner.on_topology_change())
@@ -755,14 +463,6 @@ class FederatedPlanner(Planner):
         self._remainder_cache = None
         self._merged = Allocation(self.catalog)
         self._update_foreign(None)
-        # Tear the pool down; the next batch re-forks with fresh replicas.
-        self.close()
-        self._worker_sites = {}
-        self._site_worker = {}
-        self._worker_events = {}
-        self._worker_cursor = {}
-        self._stale_sites = set()
-        self._foreign_shipped = {}
 
     # ------------------------------------------------------------------- stats
     @property
@@ -774,13 +474,6 @@ class FederatedPlanner(Planner):
             if stats:
                 for key in totals:
                     totals[key] += stats.get(key, 0)
-        if self._pool is not None:
-            # Worker replicas solve the batches (parent shards only the
-            # odd single submit), so their reuse counters are additive,
-            # never double-counted.
-            for response in self._pool.broadcast("stats"):
-                for key in totals:
-                    totals[key] += response["reuse"].get(key, 0)
         return totals
 
     def shard_stats(self) -> Dict[Union[int, str], Dict[str, int]]:

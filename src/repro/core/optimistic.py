@@ -17,12 +17,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, List, Optional, Set, Union
 
-from repro.api.base import (
-    Planner,
-    PlannerConfig,
-    PlanningOutcome,
-    deprecated_outcome_getattr,
-)
+from repro.api.base import Planner, PlannerConfig, PlanningOutcome
 from repro.api.registry import register_planner
 from repro.dsps.catalog import SystemCatalog
 from repro.dsps.query import Query, QueryWorkloadItem
@@ -30,9 +25,6 @@ from repro.exceptions import PlanningError
 from repro.utils.timer import Stopwatch
 
 __all__ = ["OptimisticBoundPlanner"]
-
-
-__getattr__ = deprecated_outcome_getattr(__name__, ("OptimisticOutcome",))
 
 
 @register_planner("optimistic", aliases=("optimistic_bound",))

@@ -21,9 +21,7 @@ from typing import (
     FrozenSet,
     Iterable,
     List,
-    Mapping,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -78,13 +76,6 @@ class SystemCatalog:
         self._base_at_host: Dict[int, Set[int]] = {}
         self._queries: List[Query] = []
         self._queries_by_result: Dict[int, List[Query]] = {}
-        #: Every registered workload item in registration order.  Query,
-        #: stream and operator ids are deterministic functions of the
-        #: catalog state and the item sequence, so replaying a suffix of
-        #: this log on a catalog replica (a federated process worker)
-        #: reproduces the parent's ids exactly — the log *is* the
-        #: registration wire format.
-        self._registration_log: List[QueryWorkloadItem] = []
 
     # ------------------------------------------------------------------ hosts
     def add_host(
@@ -479,7 +470,6 @@ class SystemCatalog:
         )
         self._queries.append(query)
         self._queries_by_result.setdefault(result_stream.stream_id, []).append(query)
-        self._registration_log.append(item)
         return query
 
     def get_query(self, query_id: int) -> Query:
@@ -506,95 +496,6 @@ class SystemCatalog:
     def requested_streams(self) -> FrozenSet[int]:
         """Streams with δ_s = 1 — i.e. result streams of registered queries."""
         return frozenset(self._queries_by_result.keys())
-
-    @property
-    def registration_log(self) -> List[QueryWorkloadItem]:
-        """Registered workload items in order (replica-sync wire format)."""
-        return list(self._registration_log)
-
-    @property
-    def num_registrations(self) -> int:
-        """Length of the registration log (the replica-sync cursor space)."""
-        return len(self._registration_log)
-
-    def replay_registrations(
-        self, items: Sequence[QueryWorkloadItem]
-    ) -> None:
-        """Append-replay a registration-log suffix (replica sync).
-
-        Registration is deterministic given the catalog state, so a
-        replica that replays the parent's log suffix in order assigns the
-        same query, stream and operator ids as the parent did.
-        """
-        for item in items:
-            self.register_query(item)
-
-    # ------------------------------------------------------------ replica sync
-    def sync_state(self) -> Dict[str, object]:
-        """The compact *dynamic* catalog state a replica must mirror.
-
-        Covers exactly the mutations the churn harness applies mid-run —
-        host liveness, site partitions and the WAN drift factor — as a
-        small picklable dict.  Structural growth (hosts, base streams,
-        capacity overrides) is guarded separately by
-        :meth:`structure_signature`.
-        """
-        return {
-            "offline_hosts": tuple(self.hosts.offline_ids),
-            "partitioned_sites": tuple(self.partitioned_sites),
-            "wan_drift": self._wan_drift,
-        }
-
-    def apply_sync_state(self, state: Mapping[str, object]) -> None:
-        """Converge this catalog's dynamic state onto ``state``."""
-        offline = set(state["offline_hosts"])
-        for host_id in self.hosts.all_ids:
-            if host_id in offline:
-                self.hosts.deactivate(host_id)
-            else:
-                self.hosts.activate(host_id)
-        target_partitions = set(state["partitioned_sites"])
-        for site in target_partitions - self._partitioned_sites:
-            self.partition_site(site)
-        for site in self._partitioned_sites - target_partitions:
-            self.heal_site(site)
-        if self._wan_drift != state["wan_drift"]:
-            self.set_wan_drift(float(state["wan_drift"]))
-
-    def structure_signature(self) -> Tuple:
-        """A hashable digest of the catalog's *structural* inputs.
-
-        Hosts (ids, capacities, sites), base streams (ids, rates,
-        injection points) and the link/WAN capacity configuration — the
-        inputs that registration replay plus :meth:`sync_state` cannot
-        reproduce on a replica.  A replica whose signature diverges from
-        the parent's needs a full-state resync.
-        """
-        hosts = tuple(
-            (
-                host.host_id,
-                host.cpu_capacity,
-                host.bandwidth_capacity,
-                host.site,
-            )
-            for host in (self.hosts.get(h) for h in self.hosts.all_ids)
-        )
-        base_streams = tuple(
-            (
-                stream.stream_id,
-                stream.rate,
-                tuple(sorted(self._base_hosts.get(stream.stream_id, ()))),
-            )
-            for stream in self.streams.base_streams
-        )
-        return (
-            hosts,
-            base_streams,
-            tuple(sorted(self._link_overrides.items())),
-            tuple(sorted(self._wan_overrides.items())),
-            self._default_link_capacity,
-            self._default_wan_capacity,
-        )
 
     # -------------------------------------------------------------- aggregates
     def total_cpu_capacity(self) -> float:

@@ -56,7 +56,7 @@ from repro.scenarios.matrix import (
 )
 from repro.scenarios.spec import ResolvedScenario, ScenarioSpec, parse_spec
 from repro.sim.harness import SimulationHarness, SimulationResult
-from repro.utils.pool import BACKENDS, map_in_pool
+from repro.utils.pool import map_in_pool
 
 #: The registry planners every sweep covers by default.
 DEFAULT_PLANNERS: Tuple[str, ...] = ("heuristic", "optimistic", "soda", "sqpr")
@@ -228,45 +228,6 @@ def run_matrix_cell(
             service.close()
 
 
-def _run_cell_task(payload):
-    """Top-level (picklable) cell runner of the process execution backend.
-
-    Each process-backend cell rebuilds its scenario object and schedule
-    from the resolved spec inside the worker — both builds are seeded
-    and deterministic, so the rebuilt schedule (and thus the cell
-    fingerprint) is identical to the parent's copy, and the whole cell
-    runs in true per-cell process isolation.
-    """
-    (
-        expression,
-        planner_name,
-        scale_name,
-        resolved,
-        planner_config,
-        through_service,
-    ) = payload
-    scenario_obj = resolved.build_scenario()
-    schedule = resolved.build_schedule(scenario_obj)
-    result = run_matrix_cell(
-        resolved,
-        scenario_obj,
-        schedule,
-        planner_name,
-        planner_config=planner_config,
-        through_service=through_service,
-    )
-    artifact = build_cell_artifact(
-        scenario=expression,
-        planner=planner_name,
-        scale=scale_name,
-        resolved=resolved,
-        schedule=schedule,
-        result=result,
-        service_replay=through_service,
-    )
-    return (expression, planner_name, scale_name), artifact, result
-
-
 def run_matrix(
     scenarios: Sequence[str] = MATRIX_REGIMES,
     planners: Sequence[str] = DEFAULT_PLANNERS,
@@ -277,7 +238,6 @@ def run_matrix(
     seed: Optional[int] = None,
     planner_config: Optional[PlannerConfig] = None,
     workers: int = 1,
-    backend: str = "thread",
     through_service: bool = False,
     baseline: str = BASELINE_SCENARIO,
 ) -> MatrixResult:
@@ -288,21 +248,14 @@ def run_matrix(
     when absent, because every artifact's KPI deltas are taken against
     the baseline cell of the same (planner, scale).  ``seed`` overrides
     every scale's trace seed (one knob to re-roll the whole matrix);
-    ``workers`` bounds cell-level concurrency and ``backend`` picks the
-    execution substrate (``thread`` shares the parent's resolved
-    schedules; ``process`` runs every cell in true process isolation,
-    rebuilding its schedule deterministically in the worker);
+    ``workers`` bounds cell-level concurrency (``1`` runs the cells
+    inline, more on a thread pool sharing the resolved schedules);
     ``through_service`` replays every cell's arrivals through a
     synchronous :class:`~repro.service.AdmissionService` instead of
     direct ``planner.submit`` calls.
     """
     if workers < 1:
         raise SimulationError(f"workers must be >= 1, got {workers}")
-    if backend not in BACKENDS:
-        raise SimulationError(
-            f"unknown execution backend {backend!r}; expected one of "
-            f"{BACKENDS}"
-        )
     registry = registry if registry is not None else SCENARIO_MATRIX
     scale_registry = (
         scale_registry if scale_registry is not None else MATRIX_SCALES
@@ -351,46 +304,12 @@ def run_matrix(
         for planner in planners
     ]
     # Baselines first — every other cell's deltas need them pinned.
-    if backend == "process":
-        def to_payload(key: Tuple[str, str, str]):
-            expression, planner_name, scale_name = key
-            resolved, _, _ = resolved_pairs[(expression, scale_name)]
-            return (
-                expression,
-                planner_name,
-                scale_name,
-                resolved,
-                planner_config,
-                through_service,
-            )
-
-        completed = map_in_pool(
-            _run_cell_task,
-            [to_payload(key) for key in baseline_cells],
-            workers=workers,
-            backend="process",
-        )
-        completed += map_in_pool(
-            _run_cell_task,
-            [to_payload(key) for key in other_cells],
-            workers=workers,
-            backend="process",
-        )
-    else:
-        completed = map_in_pool(
-            run_cell,
-            baseline_cells,
-            workers=workers,
-            thread_name_prefix="matrix",
-            backend=backend,
-        )
-        completed += map_in_pool(
-            run_cell,
-            other_cells,
-            workers=workers,
-            thread_name_prefix="matrix",
-            backend=backend,
-        )
+    completed = map_in_pool(
+        run_cell, baseline_cells, workers=workers, thread_name_prefix="matrix"
+    )
+    completed += map_in_pool(
+        run_cell, other_cells, workers=workers, thread_name_prefix="matrix"
+    )
 
     by_key = {key: (artifact, result) for key, artifact, result in completed}
     baselines = {
@@ -498,13 +417,6 @@ def _main(argv: Optional[Sequence[str]] = None) -> None:
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(
-        "--backend",
-        default="thread",
-        choices=list(BACKENDS),
-        help="cell execution backend; 'process' runs each cell in its "
-        "own forked worker (true multicore)",
-    )
-    parser.add_argument(
         "--time-limit",
         type=float,
         default=None,
@@ -552,7 +464,6 @@ def _main(argv: Optional[Sequence[str]] = None) -> None:
         scales=args.scales,
         seed=args.seed,
         workers=args.workers,
-        backend=args.backend,
         planner_config=(
             PlannerConfig(time_limit=args.time_limit)
             if args.time_limit is not None

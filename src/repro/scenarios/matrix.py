@@ -227,9 +227,8 @@ MATRIX_SCALES: Dict[str, MatrixScale] = {
             name="large",
             description=(
                 "Stress tier: 12 hosts / 4 sites / 96 streams over 200 "
-                "time units under a solver time limit — sized for the "
-                "process execution backend; checked by KPI tolerance "
-                "bands, not determinism fingerprints."
+                "time units under a solver time limit; checked by KPI "
+                "tolerance bands, not determinism fingerprints."
             ),
             topology=SimulationScenarioConfig(
                 num_hosts=12,

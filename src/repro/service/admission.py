@@ -437,27 +437,6 @@ class AdmissionService:
                 if metric is not None and value:
                     metric.inc(value)
 
-    def _publish_worker_metrics(self) -> None:
-        """Mirror the planner's execution-backend utilisation into gauges.
-
-        Planners with a process execution backend (the federated
-        planner) report per-worker task/busy/resync counters; each
-        worker gets ``planner_worker_<i>_{tasks,busy_seconds,resyncs}``
-        gauges so pool utilisation is observable next to admission
-        throughput.  Planners without a ``worker_stats`` method (or
-        without live workers) publish nothing.
-        """
-        stats_fn = getattr(self.planner, "worker_stats", None)
-        if stats_fn is None:
-            return
-        stats = stats_fn()
-        registry = self.metrics
-        for worker_id, record in enumerate(stats.get("workers", [])):
-            for key in ("tasks", "busy_seconds", "resyncs"):
-                registry.gauge(f"planner_worker_{worker_id}_{key}").set(
-                    float(record.get(key, 0))
-                )
-
     def _solve_batch(
         self, batch: List[AdmissionTicket]
     ) -> Tuple[
@@ -510,7 +489,6 @@ class AdmissionService:
             if outcome.incumbent_source == "start":
                 self._m_start_incumbents.inc()
         self._observe_solver_counters(outcomes)
-        self._publish_worker_metrics()
         allocation = self.planner.allocation
         if self.engine is not None and allocation is not None:
             # Drain exactly what this batch touched for the deploy stage's

@@ -13,6 +13,7 @@ from repro.core.planner import PlannerConfig, SQPRPlanner
 from repro.dsps.catalog import SystemCatalog
 from repro.dsps.cost_model import LinearCostModel
 from repro.dsps.query import DecompositionMode, QueryWorkloadItem
+from repro.experiments.matrix import generate_golden_matrix
 from repro.workloads.scenarios import (
     SimulationScenarioConfig,
     build_simulation_scenario,
@@ -75,6 +76,19 @@ def small_scenario():
         seed=3,
     )
     return build_simulation_scenario(config)
+
+
+@pytest.fixture(scope="session")
+def golden_matrix_workers4() -> str:
+    """The golden quick-sweep bytes, generated once per session on four
+    threads (what the committed fixture is written from)."""
+    return generate_golden_matrix(workers=4)
+
+
+@pytest.fixture(scope="session")
+def golden_matrix_workers1() -> str:
+    """The same sweep generated once per session with the cells inline."""
+    return generate_golden_matrix(workers=1)
 
 
 def query_over(*names: str) -> QueryWorkloadItem:

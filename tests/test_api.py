@@ -158,11 +158,13 @@ class TestUnifiedOutcome:
         with pytest.raises(AttributeError):
             outcome.not_a_field
 
-    def test_deprecated_outcome_aliases_warn(self):
+    def test_package_getattr_is_timeline_only(self):
+        from repro.experiments import timeline
+
+        assert repro.run_churn_experiment is timeline.run_churn_experiment
         for legacy in ("HeuristicOutcome", "SodaOutcome", "OptimisticOutcome"):
-            with pytest.warns(DeprecationWarning):
-                alias = getattr(repro, legacy)
-            assert alias is PlanningOutcome
+            with pytest.raises(AttributeError, match=legacy):
+                getattr(repro, legacy)
 
     def test_record_plans_config(self):
         planner = create_planner(

@@ -14,7 +14,8 @@ When a change is intentional, regenerate the fixture and commit it::
 
 Regeneration is idempotent by construction (no wall-clock enters an
 artifact), which ``test_golden_matrix_regeneration_is_idempotent``
-asserts by generating the fixture twice and comparing bytes.
+asserts by comparing the bytes of two generations (session fixtures in
+``conftest.py``, one on four threads and one inline).
 """
 
 from __future__ import annotations
@@ -25,15 +26,15 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.matrix import DEFAULT_PLANNERS, generate_golden_matrix
+from repro.experiments.matrix import DEFAULT_PLANNERS
 from repro.scenarios import MATRIX_REGIMES
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_matrix.json"
 
 
 @pytest.mark.slow
-def test_golden_matrix_fingerprints_match_fixture():
-    observed = generate_golden_matrix(workers=4)
+def test_golden_matrix_fingerprints_match_fixture(golden_matrix_workers4):
+    observed = golden_matrix_workers4
 
     if os.environ.get("REGEN_GOLDEN"):
         FIXTURE.parent.mkdir(parents=True, exist_ok=True)
@@ -49,12 +50,12 @@ def test_golden_matrix_fingerprints_match_fixture():
 
 
 @pytest.mark.slow
-def test_golden_matrix_regeneration_is_idempotent():
+def test_golden_matrix_regeneration_is_idempotent(
+    golden_matrix_workers4, golden_matrix_workers1
+):
     # Byte-identical across runs AND across worker counts: nothing
     # wall-clock or scheduling-dependent may enter the fixture.
-    first = generate_golden_matrix(workers=4)
-    second = generate_golden_matrix(workers=1)
-    assert first == second
+    assert golden_matrix_workers4 == golden_matrix_workers1
 
 
 def test_fixture_covers_the_full_quick_matrix():

@@ -10,18 +10,10 @@ from __future__ import annotations
 
 import copy
 
-import pytest
-
 from repro.api import PlannerConfig
 from repro.experiments.matrix import diff_kpi_reference, run_matrix
 from repro.scenarios.artifacts import diff_kpi_bands, kpi_band_payload
 from repro.scenarios.matrix import MATRIX_SCALES
-from repro.utils.pool import process_backend_available
-
-needs_fork = pytest.mark.skipif(
-    not process_backend_available(),
-    reason="process backend needs the 'fork' start method",
-)
 
 
 class TestLargeScaleDefinition:
@@ -44,13 +36,12 @@ class TestLargeScaleDefinition:
             assert MATRIX_SCALES[name].tolerance_map() == {}
 
 
-def _large_sweep(backend="serial", workers=1):
+def _large_sweep(workers=1, scenarios=("baseline",)):
     return run_matrix(
-        scenarios=["baseline"],
+        scenarios=list(scenarios),
         planners=["heuristic"],
         scales=["large"],
         workers=workers,
-        backend=backend,
         planner_config=PlannerConfig(time_limit=0.5),
     )
 
@@ -72,10 +63,11 @@ class TestLargeSweep:
             "baseline/heuristic/large"
         ]
 
-    @needs_fork
-    def test_runs_under_process_backend_within_bands(self):
-        reference = _large_sweep(backend="serial").kpi_band_payload()
-        sweep = _large_sweep(backend="process", workers=2)
+    def test_runs_on_threads_within_bands(self):
+        # Two cells, so workers=2 really runs them side by side.
+        scenarios = ("baseline", "reuse_heavy", "reuse_free")
+        reference = _large_sweep(scenarios=scenarios).kpi_band_payload()
+        sweep = _large_sweep(workers=2, scenarios=scenarios)
         assert sweep.violations() == []
         assert diff_kpi_reference(reference, sweep) == []
 

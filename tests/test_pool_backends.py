@@ -1,29 +1,16 @@
-"""Tests for the pluggable execution backends in ``repro.utils.pool``.
-
-Covers :func:`map_in_pool`'s three backends (identical results, ordering,
-error propagation) and the :class:`PersistentProcessPool` protocol
-(handshake, call/scatter/broadcast, worker-survives-task-failure, stats,
-lifecycle).
+"""Tests for :func:`repro.utils.pool.map_in_pool`: identical results and
+ordering inline and pooled, error propagation, argument checking.
+(Cancel-the-remainder and first-failure order are in
+``tests/test_utils.py::TestMapInPool``.)
 """
 
 from __future__ import annotations
 
-import os
+import threading
 
 import pytest
 
-from repro.utils.pool import (
-    BACKENDS,
-    PersistentProcessPool,
-    WorkerError,
-    map_in_pool,
-    process_backend_available,
-)
-
-needs_fork = pytest.mark.skipif(
-    not process_backend_available(),
-    reason="process backend needs the 'fork' start method",
-)
+from repro.utils.pool import map_in_pool
 
 
 def _square(x):
@@ -37,132 +24,31 @@ def _boom(x):
 
 
 class TestMapInPool:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("workers", [None, 1, 2, 8])
-    def test_backends_agree_and_preserve_order(self, backend, workers):
-        if backend == "process" and not process_backend_available():
-            pytest.skip("no fork")
+    def test_preserves_order(self, workers):
         items = list(range(7))
-        assert map_in_pool(
-            _square, items, workers=workers, backend=backend
-        ) == [x * x for x in items]
+        assert map_in_pool(_square, items, workers=workers) == [
+            x * x for x in items
+        ]
 
     def test_empty_items(self):
         assert map_in_pool(_square, [], workers=4) == []
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            map_in_pool(_square, [1], backend="carrier-pigeon")
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             map_in_pool(_square, [1], workers=-1)
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_exception_propagates(self, backend):
+    @pytest.mark.parametrize(
+        "workers", [pytest.param(1, id="serial"), pytest.param(2, id="thread")]
+    )
+    def test_exception_propagates(self, workers):
         with pytest.raises(ValueError, match="boom"):
-            map_in_pool(_boom, [1, 2, 3, 4], workers=2, backend=backend)
+            map_in_pool(_boom, [1, 2, 3, 4], workers=workers)
 
-    @needs_fork
-    def test_process_exception_propagates(self):
-        with pytest.raises(ValueError, match="boom"):
-            map_in_pool(_boom, [1, 2, 3, 4], workers=2, backend="process")
-
-    def test_serial_ignores_workers(self):
-        # serial must never spin a pool — observable via thread identity.
-        import threading
-
-        main = threading.get_ident()
-        idents = map_in_pool(
-            lambda _: threading.get_ident(),
-            [1, 2, 3],
-            workers=3,
-            backend="serial",
-        )
-        assert set(idents) == {main}
-
-
-# ---------------------------------------------------------------- persistent
-def _make_handler(payload):
-    state = {"base": payload, "calls": 0}
-
-    def handler(tag, body):
-        state["calls"] += 1
-        if tag == "add":
-            return state["base"] + body
-        if tag == "calls":
-            return state["calls"]
-        if tag == "pid":
-            return os.getpid()
-        if tag == "fail":
-            raise RuntimeError("task failed on purpose")
-        raise ValueError(f"unknown tag {tag}")
-
-    return handler
-
-
-def _bad_init(payload):
-    raise RuntimeError("init exploded")
-
-
-@needs_fork
-class TestPersistentProcessPool:
-    def test_call_uses_warm_state(self):
-        with PersistentProcessPool(_make_handler, [10, 20]) as pool:
-            assert pool.call(0, "add", 1) == 11
-            assert pool.call(1, "add", 1) == 21
-            # State persists call-to-call: the counter increments.
-            pool.call(0, "add", 0)
-            assert pool.call(0, "calls") == 3
-
-    def test_workers_are_real_processes(self):
-        with PersistentProcessPool(_make_handler, [0, 0]) as pool:
-            pids = {pool.call(0, "pid"), pool.call(1, "pid")}
-            assert os.getpid() not in pids
-            assert len(pids) == 2
-
-    def test_scatter_and_broadcast(self):
-        with PersistentProcessPool(_make_handler, [100, 200, 300]) as pool:
-            results = pool.scatter({0: ("add", 1), 2: ("add", 3)})
-            assert results == {0: 101, 2: 303}
-            assert pool.broadcast("add", 5) == [105, 205, 305]
-
-    def test_task_failure_raises_but_worker_survives(self):
-        with PersistentProcessPool(_make_handler, [1]) as pool:
-            with pytest.raises(WorkerError, match="task failed on purpose"):
-                pool.call(0, "fail")
-            # The worker is still serving requests afterwards.
-            assert pool.call(0, "add", 1) == 2
-
-    def test_scatter_drains_failures_without_desync(self):
-        with PersistentProcessPool(_make_handler, [1, 2]) as pool:
-            with pytest.raises(WorkerError, match="task failed on purpose"):
-                pool.scatter({0: ("fail", None), 1: ("add", 1)})
-            assert pool.call(0, "add", 0) == 1
-            assert pool.call(1, "add", 0) == 2
-
-    def test_init_failure_raises_worker_error(self):
-        with pytest.raises(WorkerError, match="init exploded"):
-            PersistentProcessPool(_bad_init, [None])
-
-    def test_empty_payloads_rejected(self):
-        with pytest.raises(ValueError, match="at least one worker"):
-            PersistentProcessPool(_make_handler, [])
-
-    def test_close_then_call_rejected(self):
-        pool = PersistentProcessPool(_make_handler, [1])
-        pool.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            pool.call(0, "add", 1)
-        pool.close()  # idempotent
-
-    def test_stats_track_tasks(self):
-        with PersistentProcessPool(_make_handler, [1, 2]) as pool:
-            pool.call(0, "add", 1)
-            pool.call(0, "add", 2)
-            pool.call(1, "add", 1)
-            stats = pool.worker_stats()
-            assert stats[0]["tasks"] == 2
-            assert stats[1]["tasks"] == 1
-            assert stats[0]["busy_seconds"] >= 0.0
-            assert stats[0]["resyncs"] == 0
+    def test_inline_runs_in_calling_thread(self):
+        # No pool below two workers — observable via thread identity.
+        for workers in (None, 0, 1):
+            idents = map_in_pool(
+                lambda _: threading.get_ident(), [1, 2, 3], workers=workers
+            )
+            assert set(idents) == {threading.get_ident()}

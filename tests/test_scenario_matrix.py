@@ -18,7 +18,6 @@ from repro.dsps.allocation import Allocation
 from repro.exceptions import SimulationError
 from repro.experiments.matrix import (
     _main,
-    generate_golden_matrix,
     run_matrix,
 )
 from repro.scenarios import (
@@ -205,13 +204,12 @@ def test_cli_writes_artifacts_and_checks_golden(tmp_path, capsys):
     assert "GOLDEN DRIFT" in capsys.readouterr().out
 
 
-def test_generate_golden_matrix_matches_default_sweep():
+def test_generate_golden_matrix_matches_default_sweep(golden_matrix_workers1):
     # The fixture generator is just the default quick sweep serialised.
     sweep = run_matrix(
         scenarios=[BASELINE_SCENARIO], planners=["heuristic"]
     )
-    generated = generate_golden_matrix()
-    payload = json.loads(generated)
+    payload = json.loads(golden_matrix_workers1)
     cid = f"{BASELINE_SCENARIO}/heuristic/quick"
     assert payload["cells"][cid] == sweep.artifacts[cid].fingerprint
 
