@@ -35,10 +35,11 @@ from repro.dsps.catalog import SystemCatalog
 from repro.dsps.cost_model import LinearCostModel
 from repro.dsps.query import DecompositionMode, QueryWorkloadItem
 from repro.experiments import figures
-from repro.milp.lp_backend import solve_lp
+from repro.milp.simplex import solve_lp_simplex
 from repro.milp.standard_form import to_standard_form
 
 from benchmarks.conftest import BOUND, SQPR, run_figure
+from tests.oracles.dense_simplex import solve_lp_dense
 
 
 @pytest.mark.benchmark(group="fig5")
@@ -123,20 +124,21 @@ def _fig5_planning_model(num_hosts: int, arity: int):
     return to_standard_form(built.model)
 
 
-def _timed_lp(form, engine: str, b_ub=None, warm_basis=None, method="auto"):
+def _timed_lp(form, engine: str, b_ub=None, warm_basis=None):
+    """Solve the form's LP with the ``"simplex"`` engine or the ``"dense"``
+    oracle (which takes dense blocks) and time it."""
+    b_ub = form.b_ub if b_ub is None else b_ub
     start = time.perf_counter()
-    solution = solve_lp(
-        form.c,
-        form.a_ub,
-        form.b_ub if b_ub is None else b_ub,
-        form.a_eq,
-        form.b_eq,
-        form.lower,
-        form.upper,
-        engine=engine,
-        warm_basis=warm_basis,
-        method=method,
-    )
+    if engine == "dense":
+        solution = solve_lp_dense(
+            form.c, form.a_ub.toarray(), b_ub, form.a_eq.toarray(), form.b_eq,
+            form.lower, form.upper,
+        )
+    else:
+        solution = solve_lp_simplex(
+            form.c, form.a_ub, b_ub, form.a_eq, form.b_eq, form.lower, form.upper,
+            warm_basis=warm_basis,
+        )
     return solution, time.perf_counter() - start
 
 

@@ -48,7 +48,6 @@ from repro.dsps.catalog import SystemCatalog
 from repro.dsps.plan import QueryPlan, extract_plan
 from repro.dsps.query import Query, QueryWorkloadItem
 from repro.exceptions import PlanError, PlanningError
-from repro.milp import SolverBackend
 
 
 @dataclass
@@ -86,8 +85,6 @@ class PlannerConfig:
     validate_after_apply:
         Run the full allocation validator after every admission (slower, but
         catches decoding bugs; enabled by default in tests).
-    backend:
-        MILP solver backend.
     max_abstract_plans:
         Cap on abstract plan enumeration in the §V-A greedy-reuse candidate
         search (the heuristic planner, and the constructive stage-A start
@@ -105,22 +102,20 @@ class PlannerConfig:
         skips model construction and lowering entirely; it never changes
         planning results, because the key covers every build input.
     warm_start:
-        Hand the solver a starting solution with every model, on both
-        backends.  A single query's frozen stage A gets a *constructive*
-        start: the best §V-A greedy-reuse placement
-        (:mod:`repro.core.candidates`) completed into a value for every
-        variable.  The solver accepts it only if the model's own rows admit
-        it; HiGHS then solves the root LP once and, when the start is within
-        ``mip_gap`` of that bound, returns it as optimal without entering
-        branch-and-cut — otherwise it searches on the remaining budget and
-        returns the better of its incumbent and the start.  Batches and
-        re-planning stages pass the last deployed placement as a partial,
-        name-keyed hint, which only the branch-and-bound backend consumes
-        (it also re-starts child-node LPs from the parent basis).
-        ``False`` forces every solve fully cold — the reference the
-        equivalence tests compare against.  Warm and cold planning admit
-        the same queries when run to optimality; their objectives agree
-        within ``mip_gap`` (two gap-optimal plans need not be equal).
+        Hand a single query's frozen stage A a *constructive* start: the
+        best §V-A greedy-reuse placement (:mod:`repro.core.candidates`)
+        completed into a value for every variable.  The solver accepts it
+        only if the model's own rows admit it; HiGHS then solves the root LP
+        once and, when the start is within ``mip_gap`` of that bound,
+        returns it as optimal without entering branch-and-cut — otherwise it
+        searches on the remaining budget and returns the better of its
+        incumbent and the start.  Batches and re-planning stages start cold.
+        The scipy-free branch-and-bound fallback also re-starts child-node
+        LPs from the parent basis.  ``False`` forces every solve fully
+        cold — the reference the equivalence tests compare against.  Warm
+        and cold planning admit the same queries when run to optimality;
+        their objectives agree within ``mip_gap`` (two gap-optimal plans
+        need not be equal).
     reuse_index:
         Maintain a persistent sub-plan index
         (:class:`repro.dsps.subplan.SubPlanIndex`) of every resident
@@ -145,7 +140,6 @@ class PlannerConfig:
     mip_gap: float = 1e-3
     garbage_collect: bool = True
     validate_after_apply: bool = False
-    backend: SolverBackend = SolverBackend.AUTO
     max_abstract_plans: int = 64
     use_miniw: bool = True
     record_plans: bool = False

@@ -48,7 +48,7 @@ class ReplanReport:
     violations: List[str] = field(default_factory=list)
     #: Simplex counters summed over the round's re-submissions (empty for
     #: planners/backends that report none) — what the re-plan cost in
-    #: dual-simplex resumes, phase-1 iterations, pricing passes, etc.
+    #: dual-simplex resumes, phase-1 iterations, bound flips, etc.
     solver_counters: Dict[str, int] = field(default_factory=dict)
 
     @property

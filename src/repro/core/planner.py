@@ -64,16 +64,12 @@ class SQPRPlanner(Planner):
             catalog, load_balancing=self.config.load_balancing
         )
         self.solver = solver or MilpSolver(
-            backend=self.config.backend,
             time_limit=self.config.time_limit,
             mip_gap=self.config.mip_gap,
             warm_start=self.config.warm_start,
         )
         self.allocation = allocation if allocation is not None else Allocation(catalog)
         self._reuse_cache = ModelReuseCache()
-        # Last applied solution, keyed by variable *name* so it survives
-        # model rebuilds: names like "y[h,s]" are stable across rounds.
-        self._last_values: Dict[str, float] = {}
         # True while a churn/repair path re-submits an already-known query
         # (see resubmit); tagged onto outcome extras so re-plan cost can be
         # separated from first-admission cost in metrics.
@@ -89,10 +85,9 @@ class SQPRPlanner(Planner):
             self._subplan_index.rebuild(self.allocation)
 
     def reset(self) -> None:
-        """Forget outcomes, allocation, cached models and warm-start state."""
+        """Forget outcomes, allocation and cached models."""
         super().reset()
         self._reuse_cache.clear()
-        self._last_values = {}
         if self._subplan_index is not None:
             self._subplan_index.invalidate()
             self._subplan_index.rebuild(self.allocation)
@@ -101,13 +96,11 @@ class SQPRPlanner(Planner):
         """Invalidate solver-layer caches after hosts failed or joined.
 
         The reuse-cache key covers the active host set, so stale hits are
-        impossible either way; dropping the entries and the warm-start hint
-        just frees models and variable values built for a topology that no
-        longer exists.  SQPR never drops queries here — placement-level
-        eviction happens in the engine.
+        impossible either way; dropping the entries just frees models built
+        for a topology that no longer exists.  SQPR never drops queries
+        here — placement-level eviction happens in the engine.
         """
         self._reuse_cache.clear()
-        self._last_values = {}
         if self._subplan_index is not None:
             # Plan extraction reads catalog state (base-injection liveness)
             # that the index's read keys do not cover, so cached sub-plan
@@ -117,19 +110,8 @@ class SQPRPlanner(Planner):
 
     @property
     def reuse_stats(self) -> Dict[str, int]:
-        """Model-reuse cache counters for this planner.
-
-        ``hits``/``misses`` count whole-model reuse; ``basis_hits``/
-        ``basis_misses`` count incumbent simplex bases handed to the solver
-        for dual-simplex warm re-planning (only the branch-and-bound
-        backend consumes them).
-        """
-        return {
-            "hits": self._reuse_cache.hits,
-            "misses": self._reuse_cache.misses,
-            "basis_hits": self._reuse_cache.basis_hits,
-            "basis_misses": self._reuse_cache.basis_misses,
-        }
+        """Model-reuse cache counters: ``hits``/``misses`` of whole models."""
+        return {"hits": self._reuse_cache.hits, "misses": self._reuse_cache.misses}
 
     @property
     def subplan_stats(self) -> Dict[str, int]:
@@ -187,12 +169,9 @@ class SQPRPlanner(Planner):
     ) -> PlanningOutcome:
         """Re-plan a query after a perturbation (churn, eviction, drift).
 
-        Identical decisions to :meth:`submit`; the solve is a perturbation
-        re-solve of a model structure the planner has typically already
-        seen, so the incumbent-basis store usually turns it into a
-        dual-simplex warm start.  The outcome is tagged with
-        ``perturbation_resolve=True`` so metrics can separate re-plan cost
-        from first-admission cost.
+        Identical decisions and solver path to :meth:`submit`; the outcome
+        is tagged with ``perturbation_resolve=True`` so metrics can separate
+        re-plan cost from first-admission cost.
         """
         self._resubmitting = True
         try:
@@ -271,31 +250,6 @@ class SQPRPlanner(Planner):
         return self._record_many(ordered)
 
     # ---------------------------------------------------------------- planning
-    def _basis_key(self, scope, frozen_mode: bool, force_admission: bool) -> tuple:
-        """Structure key for the incumbent-basis store.
-
-        Covers everything that shapes the standard form's row/column layout
-        (scope sets, build flags, host set) but deliberately *not* the
-        allocation fingerprint — bound/RHS drift between rounds is exactly
-        what the dual simplex absorbs.  Allocation changes that do alter
-        the row structure make the stored basis dimensionally stale, which
-        the LP engine detects and discards on install.
-        """
-        return (
-            frozen_mode,
-            force_admission,
-            self.config.allow_relay,
-            self.config.max_relay_hops,
-            scope.streams,
-            scope.operators,
-            scope.keep_provided,
-            scope.replanned_queries,
-            frozenset(
-                self.catalog.get_query(qid).result_stream for qid in scope.new_queries
-            ),
-            tuple(self.catalog.host_ids),
-        )
-
     def _stage_start(
         self, queries: List[Query], built: SqprModel
     ) -> Dict[Variable, float]:
@@ -307,31 +261,21 @@ class SQPRPlanner(Planner):
         into a value for every variable.  Both backends test it against the
         model's rows before using it, so it can only save search, never
         decide an admission the MILP would not.  Batches and re-planning
-        models keep the previous round's deployed placement as a partial,
-        name-keyed hint (shared sub-plans keep their variable names across
-        rebuilds), which only the branch-and-bound backend consumes.
+        models start cold.
         """
-        if not self.config.warm_start:
+        if not (self.config.warm_start and built.frozen_mode and len(queries) == 1):
             return {}
-        if built.frozen_mode and len(queries) == 1:
-            candidate, _ = best_candidate(
-                self.catalog,
-                self.allocation,
-                self.weights,
-                queries[0],
-                self.config.max_abstract_plans,
-            )
-            if candidate is None:
-                return {}
-            start = built.start_from_delta(
-                self.catalog, candidate.delta, candidate.max_load
-            )
-            return start or {}
-        return {
-            var: self._last_values[var.name]
-            for var in built.model.variables
-            if var.name in self._last_values
-        }
+        candidate, _ = best_candidate(
+            self.catalog,
+            self.allocation,
+            self.weights,
+            queries[0],
+            self.config.max_abstract_plans,
+        )
+        if candidate is None:
+            return {}
+        start = built.start_from_delta(self.catalog, candidate.delta, candidate.max_load)
+        return start or {}
 
     def _solve_stage(
         self,
@@ -369,21 +313,7 @@ class SQPRPlanner(Planner):
             )
             reused = False
         built.model.set_warm_start(self._stage_start(queries, built))
-        basis_key = None
-        if self.config.warm_start:
-            # Dual-simplex warm start: resume the root relaxation from the
-            # incumbent basis of the last solve with this model structure
-            # (a perturbation re-solve after churn, a retry, a stage-B
-            # forced-admission variant of a structure seen before).
-            basis_key = self._basis_key(
-                scope, frozen_mode, build_kwargs["force_admission"]
-            )
-            built.model.set_basis_hint(self._reuse_cache.basis_for(basis_key))
-        else:
-            built.model.set_basis_hint(None)
         result = self.solver.solve(built.model, time_limit=time_limit)
-        if basis_key is not None and getattr(result, "root_basis", None) is not None:
-            self._reuse_cache.store_basis(basis_key, result.root_basis)
         return scope, built, result, reused
 
     def _apply_if_admitting(self, built, result) -> frozenset:
@@ -402,10 +332,6 @@ class SQPRPlanner(Planner):
             and index.is_fresh(self.allocation)
         )
         self.allocation.apply(decoded.delta)
-        if self.config.warm_start:
-            self._last_values = {
-                var.name: value for var, value in result.values.items()
-            }
         if self.config.garbage_collect:
             # Timed-out incumbents may contain redundant placements and
             # flows; keep only what admitted queries actually need so wasted
@@ -452,7 +378,8 @@ class SQPRPlanner(Planner):
         otherwise dominates planning time on a saturated system.  The
         bound is conservative (bandwidth and per-host packing ignored),
         so a pruned query is one stage B could never have admitted and
-        observable decisions are unchanged.
+        observable decisions are unchanged; its outcome reads
+        ``rejection_reason="screened:aggregate-cpu"``.
         """
         if not queries:
             return queries
@@ -493,6 +420,8 @@ class SQPRPlanner(Planner):
                 solver_counters[key] = solver_counters.get(key, 0) + value
 
         admitted_ids: frozenset = frozenset()
+        # Stage-A rejects that stage B cannot admit on aggregate CPU alone.
+        screened_ids: frozenset = frozenset()
         if use_two_stage:
             # Stage A: a small greedy-reuse model (existing structures frozen).
             stage_a_limit = None if time_limit is None else 0.5 * time_limit
@@ -504,12 +433,10 @@ class SQPRPlanner(Planner):
             )
             merge_counters(result)
             admitted_ids = self._apply_if_admitting(built, result)
-            rejected = self._relocation_candidates(
-                [
-                    query
-                    for query in queries
-                    if query.query_id not in admitted_ids
-                ]
+            unplaced = [q for q in queries if q.query_id not in admitted_ids]
+            rejected = self._relocation_candidates(unplaced)
+            screened_ids = frozenset(q.query_id for q in unplaced) - frozenset(
+                q.query_id for q in rejected
             )
             if rejected:
                 # Stage B: the full re-planning model with the remaining
@@ -550,6 +477,12 @@ class SQPRPlanner(Planner):
         outcomes: List[PlanningOutcome] = []
         for query in queries:
             admitted = query.query_id in admitted_ids
+            if admitted:
+                reason = ""
+            elif query.query_id in screened_ids:
+                reason = "screened:aggregate-cpu"
+            else:
+                reason = "no-admitting-incumbent"
             outcomes.append(
                 PlanningOutcome(
                     query=query,
@@ -557,7 +490,7 @@ class SQPRPlanner(Planner):
                     planning_time=per_query_time,
                     plan=self._maybe_extract_plan(query) if admitted else None,
                     objective_value=result.objective,
-                    rejection_reason="" if admitted else "no-admitting-incumbent",
+                    rejection_reason=reason,
                     extras={
                         "solve_result": result,
                         "model_size": built.model.num_variables,

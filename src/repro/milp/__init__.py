@@ -8,15 +8,15 @@ environment, so this subpackage provides the substrate the planner needs:
   :class:`Constraint`, :class:`Model`) in the spirit of PuLP,
 * a sparse lowering to standard form (:mod:`repro.milp.standard_form` over
   :class:`~repro.milp.sparse.CsrMatrix`),
-* a warm-starting pure-Python branch-and-bound solver over LP relaxations
-  (:mod:`repro.milp.branch_and_bound`), with LP relaxations solved by the
-  vectorized revised simplex (:mod:`repro.milp.simplex`), by
-  ``scipy.optimize.linprog``, or by the dense reference tableau
-  (:mod:`repro.milp.dense_simplex`),
-* an optional ``scipy.optimize.milp`` (HiGHS) backend, and
-* a :class:`MilpSolver` facade that picks a backend, honours wall-clock
-  time limits and always reports the best incumbent found — mirroring the
-  way SQPR invokes CPLEX with a timeout.
+* a ``scipy.optimize.milp`` (HiGHS) backend, used whenever scipy is
+  importable,
+* a pure-Python branch-and-bound fallback
+  (:mod:`repro.milp.branch_and_bound`) whose node LPs run on the vectorized
+  revised simplex (:mod:`repro.milp.simplex`) with dual-simplex resumes from
+  the parent basis, and
+* a :class:`MilpSolver` facade that runs whichever of the two the platform
+  provides, honours wall-clock time limits and always reports the best
+  incumbent found — mirroring the way SQPR invokes CPLEX with a timeout.
 """
 
 from repro.milp.expression import LinExpr, Variable, VarType, lin_sum
@@ -24,12 +24,7 @@ from repro.milp.constraint import Constraint, ConstraintSense
 from repro.milp.model import Model, ObjectiveSense
 from repro.milp.solver import MilpSolver, SolverBackend
 from repro.milp.result import SolveResult, SolveStatus
-from repro.milp.simplex import (
-    LpSolution,
-    SimplexBasis,
-    SolverCounters,
-    SOLVER_COUNTER_FIELDS,
-)
+from repro.milp.simplex import LpSolution, SolverCounters, SOLVER_COUNTER_FIELDS
 from repro.milp.sparse import CsrMatrix
 
 __all__ = [
@@ -46,7 +41,6 @@ __all__ = [
     "SolveResult",
     "SolveStatus",
     "LpSolution",
-    "SimplexBasis",
     "SolverCounters",
     "SOLVER_COUNTER_FIELDS",
     "CsrMatrix",

@@ -16,9 +16,9 @@ algorithms", §III-B):
 Two reuse mechanisms speed up the search (both on by default):
 
 * **Basis warm starts** — a child node differs from its parent by a single
-  bound change, so its LP relaxation is re-solved starting from the
-  parent's optimal :class:`~repro.milp.simplex.SimplexBasis` instead of
-  from scratch (simplex engine only; scipy re-solves cold).
+  bound change, so its LP relaxation is re-solved with the dual simplex
+  from the parent's optimal :class:`~repro.milp.simplex.SimplexBasis`
+  instead of from scratch (in-repo simplex only; ``linprog`` solves cold).
 * **Incumbent seeding** — when the model carries a warm-start hint (see
   :meth:`Model.set_warm_start`; the SQPR planner passes the previous
   planning round's deployed placement), a feasible hint becomes the initial
@@ -58,7 +58,6 @@ class BnbOptions:
     node_limit: int = 200_000
     relative_gap: float = 1e-6
     absolute_gap: float = 1e-9
-    lp_engine: str = "auto"
     warm_start: bool = True  # parent-basis warm starts + incumbent seeding
 
 
@@ -109,8 +108,8 @@ def _search(
 ) -> SolveResult:
     c, a_ub, b_ub, a_eq, b_eq = form.c, form.a_ub, form.b_ub, form.a_eq, form.b_eq
     integrality = form.integrality
-    # Summed over every node LP (the simplex engine reports per-solve
-    # counters; scipy/dense report none and contribute nothing).
+    # Summed over every node LP (the in-repo simplex reports per-solve
+    # counters; linprog reports none and contributes nothing).
     counters = SolverCounters()
 
     def lp(lower: np.ndarray, upper: np.ndarray, warm: Optional[SimplexBasis] = None):
@@ -122,25 +121,19 @@ def _search(
             b_eq,
             lower,
             upper,
-            engine=options.lp_engine,
             warm_basis=warm if options.warm_start else None,
         )
         if solution.counters is not None:
             counters.add(solution.counters)
         return solution
 
-    # The root relaxation resumes from the model's basis hint when one is
-    # attached (the planner feeds back the previous solve's root basis, so a
-    # perturbation re-solve starts with one dual-simplex walk instead of a
-    # full primal phase 1).
-    root = lp(form.lower, form.upper, warm=model.basis_hint)
+    root = lp(form.lower, form.upper)
     if root.status == "infeasible":
         return SolveResult(SolveStatus.INFEASIBLE, lp_counters=counters.to_dict())
     if root.status == "unbounded":
         return SolveResult(SolveStatus.UNBOUNDED, lp_counters=counters.to_dict())
     if not root.is_optimal:
         return SolveResult(SolveStatus.ERROR, lp_counters=counters.to_dict())
-    root_basis = root.basis
 
     # Only the most recent solution keeps its basis *inverse* (so the next
     # node — usually a child of the node just solved — warm-starts without
@@ -271,6 +264,5 @@ def _search(
         bound=model_bound,
         nodes=nodes_processed,
         lp_counters=counters.to_dict(),
-        root_basis=root_basis,
         incumbent_source=incumbent_source,
     )

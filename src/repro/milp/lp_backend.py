@@ -1,18 +1,15 @@
-"""LP relaxation solving, dispatching to scipy (HiGHS) or the in-repo engines.
+"""LP relaxation solving: scipy (HiGHS) when importable, else the in-repo simplex.
 
 The branch-and-bound solver only needs the answer to one question per node:
-"what is the optimum of this LP (with these bounds)?".  This module hides
-whether that answer comes from ``scipy.optimize.linprog``, the vectorized
-sparse revised simplex in :mod:`repro.milp.simplex`, or the dense reference
-tableau in :mod:`repro.milp.dense_simplex`.
+"what is the optimum of this LP (with these bounds)?".  The platform decides
+who answers it: ``scipy.optimize.linprog`` when scipy is importable, the
+vectorized sparse revised simplex in :mod:`repro.milp.simplex` otherwise.
 
-Constraint matrices may be passed as
-:class:`~repro.milp.sparse.CsrMatrix` (what
-:func:`repro.milp.standard_form.to_standard_form` now produces) or as dense
-arrays; each engine receives the layout it can consume.  ``warm_basis``
-carries a :class:`~repro.milp.simplex.SimplexBasis` from a previous solve
-of the same system — only the sparse simplex engine uses it, the others
-silently ignore it.
+Constraint matrices may be passed as :class:`~repro.milp.sparse.CsrMatrix`
+(what :func:`repro.milp.standard_form.to_standard_form` produces) or as
+dense arrays.  ``warm_basis`` carries a
+:class:`~repro.milp.simplex.SimplexBasis` from a previous solve of the same
+system; only the in-repo simplex uses it, ``linprog`` always solves cold.
 """
 
 from __future__ import annotations
@@ -21,10 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.exceptions import SolverError
-from repro.milp.dense_simplex import solve_lp_dense
 from repro.milp.simplex import LpSolution, SimplexBasis, solve_lp_simplex
-from repro.milp.sparse import CsrMatrix, as_csr
+from repro.milp.sparse import as_csr
 
 try:  # pragma: no cover - exercised implicitly depending on environment
     from scipy.optimize import linprog as _scipy_linprog
@@ -35,8 +30,6 @@ try:  # pragma: no cover - optional, used to hand scipy sparse matrices
     from scipy.sparse import csr_matrix as _scipy_csr
 except ImportError:  # pragma: no cover
     _scipy_csr = None
-
-_ENGINES = ("auto", "scipy", "simplex", "dense")
 
 
 def scipy_available() -> bool:
@@ -52,42 +45,17 @@ def solve_lp(
     b_eq: np.ndarray,
     lower: np.ndarray,
     upper: np.ndarray,
-    engine: str = "auto",
     warm_basis: Optional[SimplexBasis] = None,
-    method: str = "auto",
 ) -> LpSolution:
     """Minimise ``c @ x`` subject to the given system.
 
-    Parameters
-    ----------
-    engine:
-        ``"auto"`` (scipy when importable, else the sparse simplex),
-        ``"scipy"``, ``"simplex"`` (sparse revised simplex, supports
-        ``warm_basis``) or ``"dense"`` (the seed repository's dense tableau,
-        kept as a reference/benchmark baseline).
-    warm_basis:
-        Optional :class:`SimplexBasis` from a previous solve of the same
-        system; used by the ``simplex`` engine only.
-    method:
-        How the simplex engine resumes a warm basis: ``"auto"`` (dual
-        simplex first, then primal repair), ``"dual"`` or ``"primal"``.
-        Ignored by the other engines.
+    Uses ``linprog`` when scipy is importable (``warm_basis`` is then
+    ignored), otherwise the in-repo simplex, which resumes ``warm_basis``
+    with the dual simplex.
     """
-    if engine not in _ENGINES:
-        raise SolverError(f"unknown LP engine {engine!r}")
-    if engine == "scipy" and not scipy_available():
-        raise SolverError("scipy LP engine requested but scipy is not installed")
-    use_scipy = engine == "scipy" or (engine == "auto" and scipy_available())
-    if use_scipy:
+    if scipy_available():
         return _solve_with_scipy(c, a_ub, b_ub, a_eq, b_eq, lower, upper)
-    if engine == "dense":
-        n = len(c)
-        a_ub = a_ub.toarray() if isinstance(a_ub, CsrMatrix) else np.asarray(a_ub, dtype=float)
-        a_eq = a_eq.toarray() if isinstance(a_eq, CsrMatrix) else np.asarray(a_eq, dtype=float)
-        return solve_lp_dense(c, a_ub.reshape(-1, n), b_ub, a_eq.reshape(-1, n), b_eq, lower, upper)
-    return solve_lp_simplex(
-        c, a_ub, b_ub, a_eq, b_eq, lower, upper, warm_basis=warm_basis, method=method
-    )
+    return solve_lp_simplex(c, a_ub, b_ub, a_eq, b_eq, lower, upper, warm_basis=warm_basis)
 
 
 def _to_scipy_matrix(matrix, num_cols: int):

@@ -45,7 +45,6 @@ class Model:
         self._objective: LinExpr = LinExpr()
         self._fixed_values: Dict[Variable, float] = {}
         self._warm_start: Dict[Variable, float] = {}
-        self._basis_hint = None
         self._revision = 0
 
     # ------------------------------------------------------------------ revision
@@ -217,24 +216,6 @@ class Model:
     def warm_start(self) -> Mapping[Variable, float]:
         """The warm-start hint (possibly empty)."""
         return dict(self._warm_start)
-
-    def set_basis_hint(self, basis) -> None:
-        """Attach an opaque simplex basis from a previous solve of a model
-        with the same structure (same rows and columns; bounds and
-        right-hand sides may differ).
-
-        The branch-and-bound backend resumes its root relaxation from this
-        basis with the dual simplex; a structurally mismatched hint is
-        detected and silently discarded by the LP engine, so setting a
-        stale hint is always safe.  Like ``set_warm_start`` this is a
-        non-structural hint and does not bump the model revision.
-        """
-        self._basis_hint = basis
-
-    @property
-    def basis_hint(self):
-        """The simplex basis hint, or ``None``."""
-        return self._basis_hint
 
     # -------------------------------------------------------------- evaluation
     def objective_value(self, assignment: Mapping[Variable, float]) -> float:

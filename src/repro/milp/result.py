@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from repro.milp.expression import Variable
 
@@ -52,13 +52,8 @@ class SolveResult:
     lp_counters:
         Simplex iteration/maintenance counters summed over every LP solved
         for this result (phase-1/primal/dual iterations, bound flips,
-        pricing passes, refactorisations, dual resumes, warm repairs, cold
-        fallbacks).  Empty for backends that do not run the in-repo simplex.
-    root_basis:
-        Opaque :class:`~repro.milp.simplex.SimplexBasis` of the root LP
-        relaxation, when the in-repo simplex produced one.  Callers can
-        feed it back via ``Model.set_basis_hint`` to dual-warm-start the
-        next solve of a perturbed version of the same model.
+        refactorisations, dual resumes, cold fallbacks).  Empty for backends
+        that do not run the in-repo simplex.
     incumbent_source:
         Where the returned incumbent came from: ``"start"`` when it is the
         caller's warm start (``Model.set_warm_start``) unimproved,
@@ -73,7 +68,6 @@ class SolveResult:
     nodes: int = 0
     backend: str = ""
     lp_counters: Dict[str, int] = field(default_factory=dict)
-    root_basis: Optional[Any] = None
     incumbent_source: str = ""
 
     @property

@@ -1,10 +1,10 @@
 """A vectorized revised simplex for sparse LPs with bounded variables.
 
-This replaces the seed repository's dense two-phase tableau (preserved in
-:mod:`repro.milp.dense_simplex` as a reference engine).  Four structural
-changes make it the fast pure-Python path the branch-and-bound solver runs
-on when scipy is unavailable — and the engine the fig. 5 planning-time
-benchmark measures:
+This replaces the seed repository's dense two-phase tableau (kept as the
+test oracle ``tests/oracles/dense_simplex.py``).  Three structural changes
+make it the fast pure-Python path the branch-and-bound solver runs on when
+scipy is unavailable — and the engine the fig. 5 planning-time benchmark
+measures:
 
 * **Bounded variables are native.**  The dense tableau folded every finite
   upper bound into an explicit ``x_i <= u_i`` row, roughly doubling the row
@@ -14,15 +14,9 @@ benchmark measures:
 * **Revised, not tableau.**  Only the ``m × m`` basis inverse is
   maintained (product-form eta updates, periodic refactorisation); pricing
   runs over the sparse constraint matrix (:class:`~repro.milp.sparse.CsrMatrix`)
-  with no Python-level loops.
-* **Partial + Devex pricing.**  The primal engine prices with an
-  approximate steepest-edge rule (Devex reference weights, incrementally
-  maintained from the pivot row) over a rotating *window* of columns;
-  reduced costs outside the window are only computed when the window runs
-  dry, so a pricing pass touches ``O(nnz_window)`` instead of ``O(nnz)``.
-  Dantzig pricing remains available (``pricing="dantzig"``) and the engine
-  still switches to Bland's rule after a stall, so termination is
-  unchanged — pricing only affects the pivot *path*, never the optimum.
+  with no Python-level loops.  The primal engine prices by Dantzig's rule
+  (largest reduced cost) and switches to Bland's rule after a stall, which
+  guarantees termination.
 * **Dual simplex warm starts.**  :func:`solve_lp_simplex` accepts the
   :class:`SimplexBasis` returned by a previous solve on the same system
   (possibly with different variable bounds or right-hand sides).  A warm
@@ -30,22 +24,19 @@ benchmark measures:
   (:meth:`_BoundedSimplex.run_dual`): reduced costs do not depend on bounds
   or the RHS, so the incumbent basis is dual-feasible after at most a few
   nonbasic bound flips and the re-solve walks straight back to primal
-  feasibility — the textbook move for re-planning a perturbed model
-  (branch-and-bound bound flips, churn re-solves).  The dual ratio test is
+  feasibility — the textbook move for a branch-and-bound child node, which
+  differs from its parent by one bound.  The dual ratio test is
   *bound-flipping* (long-step): breakpoint variables whose reduced cost
   crosses zero are flipped to their other bound while the leaving row's
   infeasibility still shrinks, which on the binary-heavy SQPR models
   absorbs most of the perturbation without a single basis change.  When
-  the dual resume stalls, the engine falls back to the composite primal
-  phase-1 repair (now under an explicit iteration budget), and finally to
-  a cold start — so warm-started solves always return the same optimum a
-  cold solve would.
+  the dual resume fails the engine falls back to a cold start, so
+  warm-started solves always return the same optimum a cold solve would.
 
 Every solve reports a :class:`SolverCounters` record (phase-1/primal/dual
-iterations, bound flips, full pricing passes, refactorisations, dual
-resumes, repair iterations, cold fallbacks) so callers up the stack —
-branch and bound, the planner, the admission service's metrics registry —
-can observe what a re-plan actually cost.
+iterations, bound flips, refactorisations, dual resumes, cold fallbacks)
+so callers up the stack — branch and bound, the planner, the admission
+service's metrics registry — can observe what a re-plan actually cost.
 
 The entry point keeps the package-wide standard form (minimise ``c @ x``
 s.t. ``A_ub x <= b_ub``, ``A_eq x == b_eq``, ``lb <= x <= ub``; lower
@@ -66,15 +57,6 @@ _PIVOT_TOL = 1e-9
 _FEAS_TOL = 1e-7
 _REFACTOR_EVERY = 100
 _MAX_ITER_FACTOR = 200
-_MAX_REPAIR_ROUNDS = 5
-#: Composite phase-1 repair budget: iterations granted per basic variable
-#: (with a small floor) before the repair gives up and the caller falls
-#: back to a cold start.  Before this cap a stalled repair could burn the
-#: engine's whole iteration allowance and was only detectable by timing.
-_REPAIR_ITER_PER_ROW = 4
-_REPAIR_ITER_FLOOR = 100
-#: Devex weights above this trigger a reference-framework reset.
-_DEVEX_RESET = 1e7
 
 
 @dataclass
@@ -91,16 +73,9 @@ class SolverCounters:
     primal_iterations: int = 0
     dual_iterations: int = 0
     bound_flips: int = 0
-    #: Full-span pricing scans — partial pricing only pays one when the
-    #: current window has no eligible column (or Bland's rule is active).
-    pricing_passes: int = 0
     refactorisations: int = 0
     #: Warm starts resumed to optimality by the dual simplex (skips phase 1).
     dual_resumes: int = 0
-    #: Warm starts recovered by the composite primal phase-1 repair.
-    warm_repairs: int = 0
-    #: Iterations spent inside the composite phase-1 repair.
-    repair_iterations: int = 0
     #: Warm starts that had to be thrown away for a cold start.
     cold_fallbacks: int = 0
 
@@ -134,17 +109,11 @@ class SimplexBasis:
     ``O(m^2)`` validity probe).  Holders that keep many tokens alive (the
     branch-and-bound heap) set ``binv = None`` on all but the most recent
     one to bound memory at a single ``m x m`` matrix.
-
-    ``weights`` optionally carries the Devex reference weights from the
-    producing solve; a consumer whose column count matches resumes pricing
-    with them instead of a flat reference framework.  Like ``binv`` they
-    are a pure accelerant — dropping them never changes the optimum.
     """
 
     basic: np.ndarray
     at_upper: np.ndarray
     binv: Optional[np.ndarray] = None
-    weights: Optional[np.ndarray] = None
 
     def copy(self) -> "SimplexBasis":
         """An independent copy (solves mutate their working basis)."""
@@ -152,7 +121,6 @@ class SimplexBasis:
             self.basic.copy(),
             self.at_upper.copy(),
             None if self.binv is None else self.binv.copy(),
-            None if self.weights is None else self.weights.copy(),
         )
 
 
@@ -165,11 +133,11 @@ class LpSolution:
     objective: Optional[float] = None
     basis: Optional[SimplexBasis] = None
     iterations: int = 0
-    #: Iteration/maintenance counters (simplex engine only; ``None`` from
-    #: the scipy and dense backends).
+    #: Iteration/maintenance counters (in-repo simplex only; ``None`` from
+    #: ``linprog`` and the dense test oracle).
     counters: Optional[SolverCounters] = None
     #: How a provided warm basis was used: ``"dual_resume"``,
-    #: ``"warm_repair"``, ``"cold_fallback"``, or ``""`` (no warm basis).
+    #: ``"cold_fallback"``, or ``""`` (no warm basis).
     warm_status: str = ""
 
     @property
@@ -200,16 +168,6 @@ class _BoundedSimplex:
         self.binv: np.ndarray = np.zeros((self.m, self.m))
         self.x_basic: np.ndarray = np.zeros(self.m)
         self.counters = SolverCounters()
-        self.pricing = "devex"
-        # Devex reference weights: per column for primal pricing, per basis
-        # row for dual pricing.  Reset to the unit framework when they grow
-        # past _DEVEX_RESET (the standard safeguard for the approximation).
-        self.ref_weights: np.ndarray = np.ones(self.num_cols)
-        self.dual_weights: np.ndarray = np.ones(max(1, self.m))
-        # Partial pricing window: small models keep one window (= classic
-        # full pricing); large models rotate quarters.
-        self._window = max(256, -(-self.num_cols // 4))
-        self._window_start = 0
 
     # ------------------------------------------------------------ basis install
     def _basis_matvec(self, basic: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -296,23 +254,24 @@ class _BoundedSimplex:
         x[self.basic] = self.x_basic
         return x
 
-    def infeasibility(self) -> float:
-        """Total bound violation of the basic variables (nonbasics rest on bounds)."""
-        lb_basic = self.lb[self.basic]
-        ub_basic = self.ub[self.basic]
-        below = np.maximum(0.0, lb_basic - self.x_basic)
-        above = np.maximum(0.0, self.x_basic - ub_basic)
-        return float(below.sum() + above.sum())
-
     def _refactor(self) -> bool:
         """Rebuild ``B^-1`` from scratch to clear accumulated drift."""
         self.counters.refactorisations += 1
         return self.set_basis(self.basic, self.at_upper)
 
     # ------------------------------------------------------------------ pricing
-    def _eligible_mask(self, reduced: np.ndarray, movable: np.ndarray) -> np.ndarray:
-        """Columns whose reduced cost improves the objective from their bound."""
-        return (
+    def _price_entering(
+        self, c: np.ndarray, y: np.ndarray, movable: np.ndarray, bland: bool
+    ):
+        """Pick the entering column, or ``None`` at optimality.
+
+        Returns ``(entering, reduced_cost)``: the largest improving reduced
+        cost (Dantzig), or under ``bland`` the lowest eligible index (Bland's
+        rule, which guarantees termination on degenerate LPs).
+        """
+        reduced = c - self.a.rmatvec(y)
+        reduced[self.basic_mask] = 0.0
+        eligible = (
             ~self.basic_mask
             & movable
             & (
@@ -320,92 +279,13 @@ class _BoundedSimplex:
                 | (self.at_upper & (reduced > _DUAL_TOL))
             )
         )
-
-    def _price_entering(
-        self, c: np.ndarray, y: np.ndarray, movable: np.ndarray, bland: bool
-    ):
-        """Pick the entering column, or ``None`` at optimality.
-
-        Returns ``(entering, reduced_cost)``.  Devex mode scans a rotating
-        window of columns first and falls back to a full pricing pass only
-        when the window has no eligible candidate; Bland/Dantzig modes
-        always price the full span (Bland needs the global first eligible
-        index for its termination guarantee).
-        """
-        n = self.num_cols
-        if not bland and self.pricing == "devex" and self._window < n:
-            start = self._window_start
-            for _ in range(-(-n // self._window)):
-                stop = min(n, start + self._window)
-                reduced_w = c[start:stop] - self.a.rmatvec_window(y, start, stop)
-                sub = slice(start, stop)
-                eligible_w = self._eligible_mask_window(reduced_w, movable[sub], sub)
-                if np.any(eligible_w):
-                    score = np.where(
-                        eligible_w,
-                        reduced_w * reduced_w / self.ref_weights[sub],
-                        0.0,
-                    )
-                    local = int(np.argmax(score))
-                    self._window_start = start
-                    return start + local, float(reduced_w[local])
-                start = stop % n
-            # The rotation found nothing: confirm with one full pass (this
-            # is also the only place optimality can be declared).
-        self.counters.pricing_passes += 1
-        reduced = c - self.a.rmatvec(y)
-        reduced[self.basic_mask] = 0.0
-        eligible = self._eligible_mask(reduced, movable)
         if not np.any(eligible):
             return None, 0.0
         if bland:
             entering = int(np.nonzero(eligible)[0][0])
-        elif self.pricing == "devex":
-            entering = int(
-                np.argmax(np.where(eligible, reduced * reduced / self.ref_weights, 0.0))
-            )
         else:
             entering = int(np.argmax(np.where(eligible, np.abs(reduced), 0.0)))
         return entering, float(reduced[entering])
-
-    def _eligible_mask_window(
-        self, reduced_w: np.ndarray, movable_w: np.ndarray, sub: slice
-    ) -> np.ndarray:
-        return (
-            ~self.basic_mask[sub]
-            & movable_w
-            & (
-                (~self.at_upper[sub] & (reduced_w < -_DUAL_TOL))
-                | (self.at_upper[sub] & (reduced_w > _DUAL_TOL))
-            )
-        )
-
-    def _update_devex_weights(self, row: int, entering: int, alpha_pivot: float) -> None:
-        """Forrest–Goldfarb Devex update from the (pre-pivot) pivot row.
-
-        Weights are refreshed for the active pricing window only — the
-        partial-pricing analogue of the classic full update.  The reference
-        framework resets to units when a weight overflows, which restores
-        the approximation without affecting correctness.
-        """
-        w_entering = float(self.ref_weights[entering])
-        rho = self.binv[row]
-        n = self.num_cols
-        if self._window < n:
-            start = self._window_start
-            stop = min(n, start + self._window)
-            alpha_row = self.a.rmatvec_window(rho, start, stop)
-            sub = slice(start, stop)
-        else:
-            alpha_row = self.a.rmatvec(rho)
-            sub = slice(0, n)
-        ratio2 = (alpha_row / alpha_pivot) ** 2
-        np.maximum(self.ref_weights[sub], ratio2 * w_entering, out=self.ref_weights[sub])
-        leaving_weight = max(w_entering / (alpha_pivot * alpha_pivot), 1.0)
-        if leaving_weight > _DEVEX_RESET or self.ref_weights[sub].max(initial=1.0) > _DEVEX_RESET:
-            self.ref_weights[:] = 1.0
-        else:
-            self.ref_weights[int(self.basic[row])] = leaving_weight
 
     # -------------------------------------------------------------- primal loop
     def run(self, c: np.ndarray, phase1: bool = False) -> str:
@@ -421,7 +301,7 @@ class _BoundedSimplex:
                 counters.phase1_iterations += 1
             else:
                 counters.primal_iterations += 1
-            # Pricing: y = c_B B^-1; reduced costs via the windowed scan.
+            # Pricing: y = c_B B^-1, then one pass over the reduced costs.
             y = c[self.basic] @ self.binv
             if span is None or since_refactor == 0:
                 span = self.ub - self.lb
@@ -472,9 +352,6 @@ class _BoundedSimplex:
                 row = int(near[np.argmax(np.abs(delta[near]))])
             leaving = int(self.basic[row])
 
-            if self.pricing == "devex" and not bland:
-                self._update_devex_weights(row, entering, float(alpha[row]))
-
             self.x_basic += delta * step
             # The leaving variable rests on the bound its movement hit.
             self.at_upper[leaving] = bool(delta[row] > 0)
@@ -513,7 +390,6 @@ class _BoundedSimplex:
         y = c[self.basic] @ self.binv
         reduced = c - self.a.rmatvec(y)
         reduced[self.basic_mask] = 0.0
-        self.counters.pricing_passes += 1
         movable = (self.ub - self.lb) > _FEAS_TOL
         free = ~self.basic_mask & movable
         need_upper = free & ~self.at_upper & (reduced < -_DUAL_TOL)
@@ -530,8 +406,8 @@ class _BoundedSimplex:
     def run_dual(self, c: np.ndarray) -> str:
         """Dual simplex: walk a dual-feasible basis back to primal feasibility.
 
-        Requires :meth:`restore_dual_feasibility` to have succeeded.  Row
-        selection uses approximate dual Devex weights; the ratio test is the
+        Requires :meth:`restore_dual_feasibility` to have succeeded.  The
+        leaving row is the largest bound violation; the ratio test is the
         *bound-flipping* (long-step) variant: breakpoints whose reduced cost
         reaches zero are flipped to their other bound for as long as the
         leaving row's violation keeps shrinking, and only the final
@@ -541,10 +417,9 @@ class _BoundedSimplex:
         cannot be repaired by any nonbasic movement — a primal
         infeasibility certificate, only issued on a freshly refactorised
         basis), or ``"stall"`` / ``"singular"`` / ``"iteration_limit"``,
-        after which the caller must fall back to the primal path.
+        after which the caller must fall back to a cold start.
         """
         counters = self.counters
-        self.dual_weights = np.ones(max(1, self.m))
         since_refactor = 0
         stall = 0
         last_total = np.inf
@@ -567,8 +442,8 @@ class _BoundedSimplex:
             self.iterations += 1
             counters.dual_iterations += 1
 
-            # Leaving-row selection: dual Devex (violation^2 / weight).
-            row = int(np.argmax(infeas * infeas / self.dual_weights))
+            # Leaving row: the largest bound violation.
+            row = int(np.argmax(infeas))
             leaving = int(self.basic[row])
             going_below = below[row] > above[row]
             sigma = -1.0 if going_below else 1.0  # sign of the violation
@@ -578,7 +453,6 @@ class _BoundedSimplex:
             # Pivot row over all columns (the dual ratio test is global).
             rho = self.binv[row]
             alpha_row = self.a.rmatvec(rho)
-            counters.pricing_passes += 1
             y = c[self.basic] @ self.binv
             reduced = c - self.a.rmatvec(y)
             reduced[self.basic_mask] = 0.0
@@ -653,16 +527,6 @@ class _BoundedSimplex:
             step = max(float(step), 0.0)
             self.x_basic += -alpha * (direction * step)
 
-            # Approximate dual steepest-edge weight update.
-            w_row = float(self.dual_weights[row])
-            ratio2 = (alpha / alpha[row]) ** 2
-            np.maximum(self.dual_weights, ratio2 * w_row, out=self.dual_weights)
-            new_row_weight = max(w_row / (alpha[row] * alpha[row]), 1.0)
-            if new_row_weight > _DEVEX_RESET:
-                self.dual_weights[:] = 1.0
-            else:
-                self.dual_weights[row] = new_row_weight
-
             entering_value = (
                 self.ub[entering] - step if direction < 0 else self.lb[entering] + step
             )
@@ -703,29 +567,15 @@ def solve_lp_simplex(
     lower: np.ndarray,
     upper: np.ndarray,
     warm_basis: Optional[SimplexBasis] = None,
-    method: str = "auto",
-    pricing: str = "devex",
 ) -> LpSolution:
     """Minimise ``c @ x`` subject to the given constraints and bounds.
 
     ``a_ub``/``a_eq`` may be :class:`~repro.milp.sparse.CsrMatrix` or dense
     arrays.  ``warm_basis`` is a :class:`SimplexBasis` from a previous solve
-    of the same system (bounds and RHS may differ); an unusable warm basis
-    silently degrades to a cold start, so the returned optimum never
-    depends on it.
-
-    ``method`` selects how a warm basis is resumed: ``"auto"`` tries the
-    dual simplex first (the right tool after a bound/RHS perturbation) and
-    falls back to the composite primal repair, ``"dual"`` skips the primal
-    repair (cold start on dual failure), ``"primal"`` preserves the
-    pre-dual behaviour.  ``pricing`` is ``"devex"`` (partial + approximate
-    steepest edge, the default) or ``"dantzig"`` (most-negative reduced
-    cost); both reach the same optimum.
+    of the same system (bounds and RHS may differ), resumed with the dual
+    simplex; a basis the dual simplex cannot resume degrades to a cold
+    start, so the returned optimum never depends on it.
     """
-    if method not in ("auto", "dual", "primal"):
-        raise ValueError(f"unknown simplex method {method!r}")
-    if pricing not in ("devex", "dantzig"):
-        raise ValueError(f"unknown pricing rule {pricing!r}")
     c = np.asarray(c, dtype=float)
     n = len(c)
     a_ub = as_csr(a_ub, n)
@@ -794,38 +644,31 @@ def solve_lp_simplex(
     ub = np.concatenate([upper, np.full(m_ub, np.inf), np.zeros(m)])
 
     engine = _BoundedSimplex(a_full, b, lb, ub)
-    engine.pricing = pricing
     counters = engine.counters
     c_full = np.concatenate([c, np.zeros(m_ub + m)])
 
     warm_ready = False
     warm_status = ""
-    basis_broken = False
-    if warm_basis is not None and len(warm_basis.basic) == m and len(warm_basis.at_upper) == num_cols:
-        if engine.set_basis(warm_basis.basic, warm_basis.at_upper, binv=warm_basis.binv):
-            if warm_basis.weights is not None and len(warm_basis.weights) == num_cols:
-                engine.ref_weights = np.maximum(warm_basis.weights, 1.0)
-            if method in ("auto", "dual") and engine.restore_dual_feasibility(c_full):
-                dual_status = engine.run_dual(c_full)
-                if dual_status == "optimal":
-                    warm_ready = True
-                    warm_status = "dual_resume"
-                    counters.dual_resumes += 1
-                elif dual_status == "infeasible":
-                    counters.dual_resumes += 1
-                    return LpSolution(
-                        "infeasible",
-                        iterations=engine.iterations,
-                        counters=counters,
-                        warm_status="dual_resume",
-                    )
-                elif dual_status == "singular":
-                    basis_broken = True
-            if not warm_ready and not basis_broken and method != "dual":
-                if _repair_warm_start(engine):
-                    warm_ready = True
-                    warm_status = "warm_repair"
-                    counters.warm_repairs += 1
+    if (
+        warm_basis is not None
+        and len(warm_basis.basic) == m
+        and len(warm_basis.at_upper) == num_cols
+        and engine.set_basis(warm_basis.basic, warm_basis.at_upper, binv=warm_basis.binv)
+        and engine.restore_dual_feasibility(c_full)
+    ):
+        dual_status = engine.run_dual(c_full)
+        if dual_status == "infeasible":
+            counters.dual_resumes += 1
+            return LpSolution(
+                "infeasible",
+                iterations=engine.iterations,
+                counters=counters,
+                warm_status="dual_resume",
+            )
+        if dual_status == "optimal":
+            warm_ready = True
+            warm_status = "dual_resume"
+            counters.dual_resumes += 1
 
     if not warm_ready:
         if warm_basis is not None:
@@ -844,14 +687,9 @@ def solve_lp_simplex(
             "optimal",
             x,
             float(c @ x),
-            # The engine is discarded after this call, so its inverse and
-            # pricing weights can be handed to the basis token without a copy.
-            basis=SimplexBasis(
-                engine.basic.copy(),
-                engine.at_upper.copy(),
-                engine.binv,
-                engine.ref_weights,
-            ),
+            # The engine is discarded after this call, so its inverse can be
+            # handed to the basis token without a copy.
+            basis=SimplexBasis(engine.basic.copy(), engine.at_upper.copy(), engine.binv),
             iterations=engine.iterations,
             counters=counters,
             warm_status=warm_status,
@@ -909,58 +747,3 @@ def _cold_start(
             return "iteration_limit"
     return None
 
-
-def _repair_warm_start(engine: _BoundedSimplex, iteration_budget: Optional[int] = None) -> bool:
-    """Drive a warm-started basis back to primal feasibility.
-
-    Runs short composite phase-1 passes: each violated basic variable gets a
-    unit cost pushing it into range and a temporary bound at its current
-    value (so the start is feasible for the relaxed problem).  Gives up —
-    triggering a cold start in the caller — when a pass stops reducing total
-    infeasibility *or* the explicit iteration budget is exhausted (default
-    ``max(100, 4m)`` across all passes), so a stalled repair can no longer
-    silently consume the solve's whole iteration allowance; the fallback is
-    reported through ``SolverCounters.cold_fallbacks`` and
-    ``LpSolution.warm_status``.
-    """
-    violation = engine.infeasibility()
-    if violation <= _FEAS_TOL:
-        return True
-    if iteration_budget is None:
-        iteration_budget = max(_REPAIR_ITER_FLOOR, _REPAIR_ITER_PER_ROW * engine.m)
-    start_iterations = engine.iterations
-    saved_max_iter = engine.max_iter
-    engine.max_iter = min(saved_max_iter, start_iterations + iteration_budget)
-    orig_lb, orig_ub = engine.lb, engine.ub
-    try:
-        for _ in range(_MAX_REPAIR_ROUNDS):
-            repair_cost = np.zeros(engine.num_cols)
-            lb_rep = orig_lb.copy()
-            ub_rep = orig_ub.copy()
-            below = engine.x_basic < orig_lb[engine.basic] - _FEAS_TOL
-            above = engine.x_basic > orig_ub[engine.basic] + _FEAS_TOL
-            cols_below = engine.basic[below]
-            cols_above = engine.basic[above]
-            repair_cost[cols_below] = -1.0
-            lb_rep[cols_below] = engine.x_basic[below]
-            repair_cost[cols_above] = 1.0
-            ub_rep[cols_above] = engine.x_basic[above]
-
-            engine.lb, engine.ub = lb_rep, ub_rep
-            status = engine.run(repair_cost, phase1=True)
-            engine.lb, engine.ub = orig_lb, orig_ub
-            # Variables parked on a temporary bound snap back to their real one.
-            engine.at_upper[~np.isfinite(engine.ub)] = False
-            engine.recompute_basic_values()
-            if status != "optimal":
-                return False
-            remaining = engine.infeasibility()
-            if remaining <= _FEAS_TOL:
-                return True
-            if remaining >= violation - 1e-9:
-                return False
-            violation = remaining
-        return False
-    finally:
-        engine.max_iter = saved_max_iter
-        engine.counters.repair_iterations += engine.iterations - start_iterations

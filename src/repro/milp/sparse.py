@@ -165,32 +165,6 @@ class CsrMatrix:
         start, end = col_indptr[j], col_indptr[j + 1]
         return col_rows[start:end], col_data[start:end]
 
-    def rmatvec_window(self, y: np.ndarray, start: int, stop: int) -> np.ndarray:
-        """``y @ A[:, start:stop]`` as a dense vector of length ``stop - start``.
-
-        Backed by the lazily built CSC twin, so the cost is proportional to
-        the non-zeros of the *window*, not of the whole matrix — this is
-        what makes partial pricing in the revised simplex cheaper than a
-        full ``rmatvec`` per iteration.
-        """
-        if self._csc is None:
-            self._build_csc()
-        col_data, col_rows, col_indptr = self._csc
-        lo, hi = int(col_indptr[start]), int(col_indptr[stop])
-        if lo == hi:
-            return np.zeros(stop - start)
-        contrib = col_data[lo:hi] * y[col_rows[lo:hi]]
-        cols = self._csc_col_ids(lo, hi, start, stop)
-        return np.bincount(cols, weights=contrib, minlength=stop - start)
-
-    def _csc_col_ids(self, lo: int, hi: int, start: int, stop: int) -> np.ndarray:
-        """Window-relative column id of each CSC entry in ``[lo, hi)``."""
-        _, _, col_indptr = self._csc
-        return np.repeat(
-            np.arange(stop - start, dtype=np.int64),
-            np.diff(col_indptr[start : stop + 1]),
-        )
-
     def toarray(self) -> np.ndarray:
         """Materialise as a dense 2-D array."""
         dense = np.zeros(self.shape)

@@ -14,6 +14,7 @@ from repro.dsps.catalog import SystemCatalog
 from repro.dsps.cost_model import LinearCostModel
 from repro.dsps.query import DecompositionMode, QueryWorkloadItem
 from repro.experiments.matrix import generate_golden_matrix
+from repro.milp import lp_backend, scipy_backend
 from repro.workloads.scenarios import (
     SimulationScenarioConfig,
     build_simulation_scenario,
@@ -62,6 +63,17 @@ def tiny_planner(tiny_catalog: SystemCatalog) -> SQPRPlanner:
     """
     config = PlannerConfig(time_limit=1.0, validate_after_apply=True)
     return SQPRPlanner(tiny_catalog, config=config)
+
+
+@pytest.fixture
+def no_scipy(monkeypatch):
+    """Run the test as on a platform without scipy.
+
+    The solver then takes its dependency-free path: branch and bound with
+    every LP relaxation on the in-repo simplex.
+    """
+    monkeypatch.setattr(lp_backend, "_scipy_linprog", None)
+    monkeypatch.setattr(scipy_backend, "_scipy_milp", None)
 
 
 @pytest.fixture

@@ -1,7 +1,7 @@
-"""The original dense two-phase tableau simplex, kept as a reference engine.
+"""The original dense two-phase tableau simplex, kept as a test oracle.
 
 This is the seed repository's LP engine, unchanged apart from importing
-:class:`~repro.milp.simplex.LpSolution` from its new home.  It is a
+:class:`~repro.milp.simplex.LpSolution` from the package.  It is a
 straightforward dense tableau implementation with Bland's rule: correct,
 slow, and deliberately preserved so that
 
@@ -12,7 +12,7 @@ slow, and deliberately preserved so that
 
 It folds finite upper bounds into explicit ``x_i <= u_i`` rows, so its
 tableau has ``O((m + n) * n)`` entries — the dense-tableau cost the sparse
-rewrite removes.  Select it through ``solve_lp(..., engine="dense")``.
+rewrite removes.  It takes dense constraint blocks only.
 """
 
 from __future__ import annotations

@@ -58,6 +58,28 @@ class TestSubmit:
             if outcome.admitted:
                 assert outcome.query.query_id in planner.allocation.admitted_queries
 
+    def test_saturated_cluster_reports_the_aggregate_cpu_screen(self, monkeypatch):
+        # Three hosts fit one 1.1-CPU operator each; after three admissions
+        # the 0.3 CPU left cannot hold any new operator, however the
+        # resident placement is repacked.
+        workload = [
+            ("b0", "b1"), ("b1", "b2"), ("b2", "b3"), ("b0", "b1", "b2"), ("b0", "b3"),
+        ]
+
+        def run(screen: bool):
+            catalog = make_catalog(num_hosts=3, cpu=1.2, num_base=4)
+            planner = SQPRPlanner(catalog, config=PlannerConfig(time_limit=None))
+            if not screen:
+                monkeypatch.setattr(planner, "_relocation_candidates", lambda qs: qs)
+            return [planner.submit(query_over(*names)) for names in workload]
+
+        screened = run(screen=True)
+        assert [o.admitted for o in screened] == [True, True, True, False, False]
+        assert [o.rejection_reason for o in screened[3:]] == ["screened:aggregate-cpu"] * 2
+        unscreened = run(screen=False)
+        assert [o.admitted for o in unscreened] == [o.admitted for o in screened]
+        assert [o.rejection_reason for o in unscreened[3:]] == ["no-admitting-incumbent"] * 2
+
     def test_submit_rejects_bad_type(self, tiny_planner):
         with pytest.raises(PlanningError):
             tiny_planner.submit("not a query")  # type: ignore[arg-type]

@@ -1,29 +1,34 @@
-"""Dual-simplex warm starts, Devex pricing and solver counters.
+"""Dual-simplex warm starts and solver counters.
 
 The contract under test: a warm re-solve of a *perturbed* system (changed
 bounds and right-hand sides over the same rows/columns) resumed with the
 dual simplex returns exactly the optimum a cold primal solve returns, which
-in turn matches the dense reference tableau — and steepest-edge (Devex)
-pricing reaches the same optimum as Dantzig pricing, including on
-degenerate and fixed-variable LPs.  The hypothesis sections drive these
-equivalences over random instances; the unit sections pin the counters,
-the repair budget and the fallback reporting.
+in turn matches the dense reference tableau, including on degenerate and
+fixed-variable LPs.  The hypothesis sections drive these equivalences over
+random instances; the unit sections pin the counters and the fallback
+reporting.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.milp.dense_simplex import solve_lp_dense
 from repro.milp.simplex import (
     SimplexBasis,
     SolverCounters,
     SOLVER_COUNTER_FIELDS,
-    _repair_warm_start,
     solve_lp_simplex,
 )
+from repro.api import PlannerConfig
+from repro.api.base import PlannerStats, PlanningOutcome
+from repro.core.planner import SQPRPlanner
+from repro.dsps.query import Query
+from repro.milp import Model, ObjectiveSense
+from repro.milp.branch_and_bound import BnbOptions, solve_branch_and_bound
+from repro.milp.result import SolveStatus
+from tests.conftest import make_catalog, query_over
+from tests.oracles.dense_simplex import solve_lp_dense
 
 common_settings = settings(
     max_examples=20,
@@ -83,27 +88,10 @@ class TestDualWarmEquivalence:
         dense = solve_lp_dense(c, a_ub, b_ub2, a_eq, b_eq2, lower2, upper2)
         _assert_same_optimum(cold, warm, "warm vs cold")
         _assert_same_optimum(cold, dense, "cold vs dense")
-        assert warm.warm_status in ("dual_resume", "warm_repair", "cold_fallback")
-
-    @given(seed=st.integers(min_value=0, max_value=10_000))
-    @common_settings
-    def test_method_dual_matches_method_primal(self, seed):
-        """The resume method changes the pivot path, never the optimum."""
-        c, a_ub, b_ub, a_eq, b_eq, lower, upper = _random_lp(seed)
-        base = solve_lp_simplex(c, a_ub, b_ub, a_eq, b_eq, lower, upper)
-        b_ub2, b_eq2, lower2, upper2 = _perturb(seed + 2, b_ub, b_eq, lower, upper)
-        dual = solve_lp_simplex(
-            c, a_ub, b_ub2, a_eq, b_eq2, lower2, upper2,
-            warm_basis=base.basis, method="dual",
-        )
-        primal = solve_lp_simplex(
-            c, a_ub, b_ub2, a_eq, b_eq2, lower2, upper2,
-            warm_basis=base.basis.copy(), method="primal",
-        )
-        _assert_same_optimum(dual, primal, "dual vs primal resume")
+        assert warm.warm_status in ("dual_resume", "cold_fallback")
 
     def test_typical_perturbation_takes_the_dual_path(self):
-        """Mild bound/RHS drift resumes via the dual simplex, not a repair."""
+        """Mild bound/RHS drift resumes via the dual simplex, not cold."""
         c, a_ub, b_ub, a_eq, b_eq, lower, upper = _random_lp(42)
         base = solve_lp_simplex(c, a_ub, b_ub, a_eq, b_eq, lower, upper)
         warm = solve_lp_simplex(
@@ -136,10 +124,10 @@ class TestDualWarmEquivalence:
         assert warm.status == cold.status == "infeasible"
 
 
-class TestPricingEquivalence:
+class TestDenseOracleEquivalence:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     @common_settings
-    def test_devex_matches_dantzig_on_degenerate_lps(self, seed):
+    def test_degenerate_lps_match_dense_oracle(self, seed):
         """Fixed variables + duplicated rows (degeneracy): same optimum."""
         c, a_ub, b_ub, a_eq, b_eq, lower, upper = _random_lp(seed)
         rng = np.random.default_rng(seed + 3)
@@ -150,16 +138,12 @@ class TestPricingEquivalence:
         upper[fixed] = lower[fixed]
         a_ub = np.vstack([a_ub, a_ub[:1]])
         b_ub = np.concatenate([b_ub, b_ub[:1]])
-        devex = solve_lp_simplex(
-            c, a_ub, b_ub, a_eq, b_eq, lower, upper, pricing="devex"
-        )
-        dantzig = solve_lp_simplex(
-            c, a_ub, b_ub, a_eq, b_eq, lower, upper, pricing="dantzig"
-        )
-        _assert_same_optimum(devex, dantzig, "devex vs dantzig")
+        sparse = solve_lp_simplex(c, a_ub, b_ub, a_eq, b_eq, lower, upper)
+        dense = solve_lp_dense(c, a_ub, b_ub, a_eq, b_eq, lower, upper)
+        _assert_same_optimum(sparse, dense, "sparse vs dense")
 
-    def test_partial_pricing_matches_full_on_wide_lp(self):
-        """A >256-column model (partial windows active) stays exact."""
+    def test_wide_lp_matches_dense_oracle(self):
+        """A 420-column, 40-row sparse LP: same optimum as the tableau."""
         rng = np.random.default_rng(11)
         n, m = 420, 40
         a = np.zeros((m, n))
@@ -170,25 +154,9 @@ class TestPricingEquivalence:
         b = a @ x0 + rng.uniform(0.1, 1.0, m)
         c = rng.normal(size=n)
         no_eq = np.zeros((0, n))
-        devex = solve_lp_simplex(
-            c, a, b, no_eq, np.zeros(0), np.zeros(n), np.ones(n), pricing="devex"
-        )
-        dantzig = solve_lp_simplex(
-            c, a, b, no_eq, np.zeros(0), np.zeros(n), np.ones(n), pricing="dantzig"
-        )
-        _assert_same_optimum(devex, dantzig, "partial devex vs dantzig")
-        # Partial pricing must have avoided pricing the full span every
-        # iteration: fewer full passes than iterations.
-        assert devex.counters.pricing_passes < devex.iterations
-
-    def test_unknown_pricing_and_method_raise(self):
-        c = np.zeros(2)
-        args = (c, np.zeros((0, 2)), np.zeros(0), np.zeros((0, 2)), np.zeros(0),
-                np.zeros(2), np.ones(2))
-        with pytest.raises(ValueError):
-            solve_lp_simplex(*args, pricing="steepest")
-        with pytest.raises(ValueError):
-            solve_lp_simplex(*args, method="barrier")
+        sparse = solve_lp_simplex(c, a, b, no_eq, np.zeros(0), np.zeros(n), np.ones(n))
+        dense = solve_lp_dense(c, a, b, no_eq, np.zeros(0), np.zeros(n), np.ones(n))
+        _assert_same_optimum(sparse, dense, "sparse vs dense")
 
 
 class TestCountersAndRepairBudget:
@@ -228,60 +196,8 @@ class TestCountersAndRepairBudget:
         assert sol.warm_status == "cold_fallback"
         assert sol.counters.cold_fallbacks == 1
 
-    def test_repair_budget_is_bounded(self):
-        """The composite repair cannot exceed its explicit iteration budget."""
-
-        class _StubEngine:
-            m = 10
-            iterations = 0
-            max_iter = 10_000
-            counters = SolverCounters()
-
-            def infeasibility(self):
-                return 1.0  # permanently violated
-
-            lb = np.zeros(1)
-            ub = np.ones(1)
-            num_cols = 1
-            basic = np.zeros(1, dtype=np.int64)
-            x_basic = np.full(1, 5.0)
-
-            def run(self, cost, phase1=False):
-                # Burn the whole allowance the caller granted us.
-                self.iterations = self.max_iter
-                return "iteration_limit"
-
-            def recompute_basic_values(self):
-                pass
-
-            at_upper = np.zeros(1, dtype=bool)
-
-        engine = _StubEngine()
-        assert _repair_warm_start(engine, iteration_budget=37) is False
-        assert engine.iterations <= 37
-        assert engine.counters.repair_iterations == 37
-        assert engine.max_iter == 10_000  # restored
-
-    def test_weights_ride_along_on_the_basis(self):
-        c, a_ub, b_ub, a_eq, b_eq, lower, upper = _random_lp(4)
-        sol = solve_lp_simplex(c, a_ub, b_ub, a_eq, b_eq, lower, upper)
-        assert sol.basis is not None
-        assert sol.basis.weights is not None
-        copied = sol.basis.copy()
-        assert copied.weights is not None
-        assert copied.weights is not sol.basis.weights
-        # Feeding the weights back must not change the optimum.
-        warm = solve_lp_simplex(
-            c, a_ub, b_ub * 0.98, a_eq, b_eq, lower, upper, warm_basis=copied
-        )
-        cold = solve_lp_simplex(c, a_ub, b_ub * 0.98, a_eq, b_eq, lower, upper)
-        _assert_same_optimum(cold, warm, "weights warm vs cold")
-
-
 class TestBranchAndBoundIntegration:
     def _knapsack(self, cap, seed=9):
-        from repro.milp import Model, ObjectiveSense
-
         rng = np.random.default_rng(seed)
         values = rng.integers(1, 20, 16)
         weights = rng.integers(1, 10, 16)
@@ -291,76 +207,34 @@ class TestBranchAndBoundIntegration:
         model.add_constr(sum(int(w) * x for w, x in zip(weights, xs)) <= cap)
         return model
 
-    def test_bnb_children_resume_via_dual_simplex(self):
-        from repro.milp.branch_and_bound import BnbOptions, solve_branch_and_bound
-
-        result = solve_branch_and_bound(
-            self._knapsack(30), BnbOptions(lp_engine="simplex")
-        )
+    def test_bnb_children_resume_via_dual_simplex(self, no_scipy):
+        result = solve_branch_and_bound(self._knapsack(30))
         assert result.lp_counters["dual_resumes"] > 0
-        assert result.root_basis is not None
+        assert result.lp_counters["cold_fallbacks"] == 0
 
-    def test_basis_hint_warm_equals_cold(self):
-        from repro.milp.branch_and_bound import BnbOptions, solve_branch_and_bound
-
-        opts = BnbOptions(lp_engine="simplex")
-        first = solve_branch_and_bound(self._knapsack(30), opts)
-        hinted = self._knapsack(26)
-        hinted.set_basis_hint(first.root_basis)
-        warm = solve_branch_and_bound(hinted, opts)
-        cold = solve_branch_and_bound(self._knapsack(26), opts)
-        assert warm.objective == cold.objective
-        assert warm.status == cold.status
-
-    def test_warm_start_off_ignores_basis_hint(self):
-        from repro.milp.branch_and_bound import BnbOptions, solve_branch_and_bound
-
-        first = solve_branch_and_bound(
-            self._knapsack(30), BnbOptions(lp_engine="simplex")
-        )
-        hinted = self._knapsack(26)
-        hinted.set_basis_hint(first.root_basis)
-        off = solve_branch_and_bound(
-            hinted, BnbOptions(lp_engine="simplex", warm_start=False)
-        )
-        cold = solve_branch_and_bound(
-            self._knapsack(26), BnbOptions(lp_engine="simplex", warm_start=False)
-        )
-        assert off.objective == cold.objective
-        assert off.lp_counters["dual_resumes"] == 0
+    def test_warm_node_resumes_equal_cold_nodes(self, no_scipy):
+        for cap in (26, 30):
+            warm = solve_branch_and_bound(self._knapsack(cap))
+            cold = solve_branch_and_bound(
+                self._knapsack(cap), BnbOptions(warm_start=False)
+            )
+            assert warm.status is cold.status is SolveStatus.OPTIMAL
+            assert warm.objective == cold.objective
+            assert cold.lp_counters["dual_resumes"] == 0
 
 
 class TestPlannerBasisStore:
-    def test_resubmit_after_eviction_reuses_the_basis(self):
-        """A churn-style retire + resubmit hits the incumbent-basis store."""
-        from repro.api import PlannerConfig
-        from repro.core.planner import SQPRPlanner
-        from repro.milp import MilpSolver, SolverBackend
-        from tests.conftest import make_catalog, query_over
-
+    def test_resubmit_after_eviction_reports_counters(self, no_scipy):
+        """A churn-style retire + resubmit is tagged and reports counters."""
         catalog = make_catalog(num_hosts=3, cpu=4.0, num_base=4, rate=2.0)
-        config = PlannerConfig(
-            time_limit=5.0,
-            backend=SolverBackend.BRANCH_AND_BOUND,
-            validate_after_apply=True,
-        )
-        # Pin the in-repo simplex so counters/bases flow even where scipy
-        # would be auto-selected.
-        solver = MilpSolver(
-            backend=SolverBackend.BRANCH_AND_BOUND,
-            time_limit=5.0,
-            lp_engine="simplex",
-        )
-        planner = SQPRPlanner(catalog, config=config, solver=solver)
+        config = PlannerConfig(time_limit=5.0, validate_after_apply=True)
+        planner = SQPRPlanner(catalog, config=config)
         query = catalog.register_query(query_over("b0", "b1"))
-        first = planner.submit(query)
-        assert first.admitted
-        assert planner.reuse_stats["basis_misses"] >= 1
+        assert planner.submit(query).admitted
         planner.retire(query.query_id)
         outcome = planner.resubmit(query)
         assert outcome.admitted
         assert outcome.extras["perturbation_resolve"] is True
-        assert planner.reuse_stats["basis_hits"] >= 1
         counters = planner.solver_counters()
         assert counters  # the B&B backend reported simplex counters
         assert counters.get("primal_iterations", 0) + counters.get(
@@ -368,9 +242,6 @@ class TestPlannerBasisStore:
         ) > 0
 
     def test_solver_counters_dedupe_shared_dicts(self):
-        from repro.api.base import PlannerStats, PlanningOutcome
-        from repro.dsps.query import Query
-
         stats = PlannerStats()
         query = Query(
             query_id=1,

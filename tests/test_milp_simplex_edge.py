@@ -13,9 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.milp.dense_simplex import solve_lp_dense
 from repro.milp.simplex import SimplexBasis, solve_lp_simplex
 from repro.milp.sparse import CsrMatrix, as_csr
+from tests.oracles.dense_simplex import solve_lp_dense
 
 NO_UB = (np.zeros((0, 2)), np.zeros(0))
 NO_EQ = (np.zeros((0, 2)), np.zeros(0))

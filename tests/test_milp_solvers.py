@@ -3,7 +3,8 @@
 The pure-Python simplex and branch-and-bound implementations are
 cross-checked against ``scipy`` (HiGHS) on randomly generated instances via
 hypothesis, and both are exercised on hand-written instances with known
-optima.
+optima.  Facade tests that need the scipy-free path request the
+``no_scipy`` fixture; HiGHS-only cases skip when scipy is not installed.
 """
 
 from __future__ import annotations
@@ -106,9 +107,7 @@ class TestSimplex:
         lower = np.zeros(n)
         upper = rng.uniform(1, 8, n)
         ours = solve_lp_simplex(c, a_ub, b_ub, np.zeros((0, n)), np.zeros(0), lower, upper)
-        theirs = solve_lp(
-            c, a_ub, b_ub, np.zeros((0, n)), np.zeros(0), lower, upper, engine="scipy"
-        )
+        theirs = solve_lp(c, a_ub, b_ub, np.zeros((0, n)), np.zeros(0), lower, upper)
         # Bounded feasible region (0 <= x <= upper), so both must be optimal.
         assert ours.is_optimal and theirs.is_optimal
         assert ours.objective == pytest.approx(theirs.objective, rel=1e-6, abs=1e-6)
@@ -173,28 +172,32 @@ class TestBranchAndBound:
 
 class TestSolverFacade:
     def test_auto_backend_resolution(self):
-        solver = MilpSolver()
-        assert solver.resolved_backend() in (SolverBackend.HIGHS, SolverBackend.BRANCH_AND_BOUND)
+        expected = SolverBackend.HIGHS if highs_available() else SolverBackend.BRANCH_AND_BOUND
+        assert MilpSolver().resolved_backend() is expected
 
-    def test_explicit_bnb_backend(self):
-        solver = MilpSolver(backend=SolverBackend.BRANCH_AND_BOUND)
+    def test_explicit_bnb_backend(self, no_scipy):
+        solver = MilpSolver()
+        assert solver.resolved_backend() is SolverBackend.BRANCH_AND_BOUND
         result = solver.solve(knapsack_model())
         assert result.objective == pytest.approx(11.0)
+        assert result.backend == "branch_and_bound"
+        assert result.lp_counters  # node LPs ran on the in-repo simplex
 
-    @pytest.mark.skipif(not highs_available(), reason="scipy.optimize.milp not available")
     def test_explicit_highs_backend(self):
-        solver = MilpSolver(backend=SolverBackend.HIGHS)
+        pytest.importorskip("scipy")
+        solver = MilpSolver()
+        assert solver.resolved_backend() is SolverBackend.HIGHS
         result = solver.solve(knapsack_model())
         assert result.objective == pytest.approx(11.0)
         assert result.backend == "highs"
 
-    def test_time_limit_override(self):
-        solver = MilpSolver(backend=SolverBackend.BRANCH_AND_BOUND, time_limit=100.0)
+    def test_time_limit_override(self, no_scipy):
+        solver = MilpSolver(time_limit=100.0)
         result = solver.solve(knapsack_model(), time_limit=10.0)
         assert result.has_solution
 
-    def test_is_usable_status(self):
-        solver = MilpSolver(backend=SolverBackend.BRANCH_AND_BOUND)
+    def test_is_usable_status(self, no_scipy):
+        solver = MilpSolver()
         good = solver.solve(knapsack_model())
         assert solver.is_usable_status(good)
         model = Model("bad")
@@ -203,8 +206,8 @@ class TestSolverFacade:
         bad = solver.solve(model)
         assert not solver.is_usable_status(bad)
 
-    def test_result_gap_and_lookup(self):
-        solver = MilpSolver(backend=SolverBackend.BRANCH_AND_BOUND)
+    def test_result_gap_and_lookup(self, no_scipy):
+        solver = MilpSolver()
         result = solver.solve(knapsack_model())
         assert result.value_by_name("item0") in (0.0, 1.0)
         gap = result.gap()

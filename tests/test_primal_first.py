@@ -36,7 +36,7 @@ from repro.milp.expression import lin_sum
 from repro.milp.model import Model, ObjectiveSense
 from repro.milp.result import SolveStatus
 from repro.milp.scipy_backend import highs_available, solve_with_highs
-from repro.milp.solver import MilpSolver, SolverBackend
+from repro.milp.solver import MilpSolver
 
 from tests.conftest import make_catalog, query_over
 
@@ -232,7 +232,7 @@ class TestHighsHonoursCompleteStarts:
         model.set_warm_start({x: 1.0, y: 0.0})
         off = solve_with_highs(model, mip_rel_gap=1e-3, warm_start=False)
         _same_result(off, cold)
-        facade = MilpSolver(backend=SolverBackend.HIGHS, mip_gap=1e-3, warm_start=False)
+        facade = MilpSolver(mip_gap=1e-3, warm_start=False)
         _same_result(facade.solve(model), cold)
 
     def test_timeout_cannot_discard_the_start(self, monkeypatch):

@@ -1,11 +1,13 @@
 """Solver-reuse tests: warm starts and model reuse never change results.
 
 The incremental-reuse machinery added to the MILP stack (parent-basis warm
-starts in branch and bound, incumbent seeding from the previous planning
-round, the planner's model-reuse cache) is a pure speed optimisation.  This
-module pins down the contract: with reuse on or off, every registry planner
-admits the same queries and reports the same objective values, and the
-branch-and-bound solver returns the same optimum.
+starts in branch and bound, the constructive stage-A start, the planner's
+model-reuse cache) is a pure speed optimisation.  This module pins down the
+contract: with reuse on or off, every registry planner admits the same
+queries and reports the same objective values, and the branch-and-bound
+solver returns the same optimum.  Tests that request the ``no_scipy``
+fixture run the dependency-free path (branch and bound over the in-repo
+simplex) whether or not scipy is installed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from repro.milp.branch_and_bound import BnbOptions, solve_branch_and_bound
 from repro.milp.expression import lin_sum
 from repro.milp.model import Model, ObjectiveSense
 from repro.milp.result import SolveStatus
-from repro.milp.solver import SolverBackend
+from repro.milp.solver import MilpSolver, SolverBackend
 
 from tests.conftest import make_catalog, query_over
 
@@ -42,37 +44,37 @@ def _random_milp(seed: int) -> Model:
 
 
 class TestBranchAndBoundWarmStart:
+    # "simplex" forces the scipy-free LP path; "auto" runs whichever LP
+    # engine the platform provides.
     @pytest.mark.parametrize("engine", ["simplex", "auto"])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
-    def test_warm_equals_cold(self, seed, engine):
-        warm = solve_branch_and_bound(
-            _random_milp(seed), BnbOptions(lp_engine=engine, warm_start=True)
-        )
-        cold = solve_branch_and_bound(
-            _random_milp(seed), BnbOptions(lp_engine=engine, warm_start=False)
-        )
+    def test_warm_equals_cold(self, seed, engine, request):
+        if engine == "simplex":
+            request.getfixturevalue("no_scipy")
+        warm = solve_branch_and_bound(_random_milp(seed), BnbOptions(warm_start=True))
+        cold = solve_branch_and_bound(_random_milp(seed), BnbOptions(warm_start=False))
         assert warm.status is SolveStatus.OPTIMAL
         assert cold.status is SolveStatus.OPTIMAL
         assert warm.objective == pytest.approx(cold.objective, rel=1e-6, abs=1e-6)
 
-    def test_feasible_hint_seeds_incumbent_without_changing_optimum(self):
+    def test_feasible_hint_seeds_incumbent_without_changing_optimum(self, no_scipy):
         model = _random_milp(7)
-        baseline = solve_branch_and_bound(model, BnbOptions(lp_engine="simplex"))
+        baseline = solve_branch_and_bound(model)
         assert baseline.status is SolveStatus.OPTIMAL
         # Hint the all-zeros solution (feasible: the knapsack row is <=).
         hinted = _random_milp(7)
         hinted.set_warm_start({var: 0.0 for var in hinted.variables})
-        seeded = solve_branch_and_bound(hinted, BnbOptions(lp_engine="simplex"))
+        seeded = solve_branch_and_bound(hinted)
         assert seeded.status is SolveStatus.OPTIMAL
         assert seeded.objective == pytest.approx(baseline.objective, rel=1e-6, abs=1e-6)
 
-    def test_infeasible_hint_is_ignored(self):
+    def test_infeasible_hint_is_ignored(self, no_scipy):
         model = _random_milp(9)
-        baseline = solve_branch_and_bound(model, BnbOptions(lp_engine="simplex"))
+        baseline = solve_branch_and_bound(model)
         hinted = _random_milp(9)
         # Violates the knapsack constraint: every item selected.
         hinted.set_warm_start({var: 1.0 for var in hinted.variables})
-        seeded = solve_branch_and_bound(hinted, BnbOptions(lp_engine="simplex"))
+        seeded = solve_branch_and_bound(hinted)
         assert seeded.objective == pytest.approx(baseline.objective, rel=1e-6, abs=1e-6)
 
 
@@ -81,7 +83,6 @@ def _run_workload(name: str, reuse: bool):
     catalog = make_catalog(num_hosts=3, cpu=8.0, num_base=4)
     config = PlannerConfig(
         time_limit=2.0,
-        backend=SolverBackend.BRANCH_AND_BOUND,
         reuse_model=reuse,
         warm_start=reuse,
     )
@@ -99,7 +100,7 @@ def _run_workload(name: str, reuse: bool):
 
 class TestPlannerWarmStartEquivalence:
     @pytest.mark.parametrize("name", ALL_PLANNERS)
-    def test_warm_and_cold_planning_agree(self, name):
+    def test_warm_and_cold_planning_agree(self, name, no_scipy):
         planner, warm_outcomes = _run_workload(name, reuse=True)
         _, cold_outcomes = _run_workload(name, reuse=False)
         assert [o.admitted for o in warm_outcomes] == [o.admitted for o in cold_outcomes]
@@ -113,7 +114,7 @@ class TestPlannerWarmStartEquivalence:
                     cold.objective_value, rel=rel, abs=1e-6
                 )
 
-    def test_sqpr_reports_reuse_extras(self):
+    def test_sqpr_reports_reuse_extras(self, no_scipy):
         _, outcomes = _run_workload("sqpr", reuse=True)
         planned = [o for o in outcomes if not o.duplicate]
         assert planned, "workload should exercise the planning path"
@@ -123,14 +124,12 @@ class TestPlannerWarmStartEquivalence:
 
 
 class TestModelReuseCache:
-    def test_rejected_query_retry_hits_cache(self):
+    def test_rejected_query_retry_hits_cache(self, no_scipy):
         # A tiny system that rejects an oversized query: the rejection leaves
         # the allocation untouched, so retrying the same query must reuse the
         # cached model instead of rebuilding it.
         catalog = make_catalog(num_hosts=2, cpu=0.5, num_base=3, rate=50.0)
-        config = PlannerConfig(
-            time_limit=2.0, backend=SolverBackend.BRANCH_AND_BOUND, two_stage=False
-        )
+        config = PlannerConfig(time_limit=2.0, two_stage=False)
         planner = create_planner("sqpr", catalog, config=config)
         query = catalog.register_query(query_over("b0", "b1", "b2"))
         first = planner.submit(query)
@@ -139,17 +138,43 @@ class TestModelReuseCache:
         assert planner.reuse_stats["hits"] >= 1
         assert retried.reused_model
 
-    def test_reset_clears_reuse_state(self):
+    def test_reset_clears_reuse_state(self, no_scipy):
         planner, _ = _run_workload("sqpr", reuse=True)
         planner.reset()
-        assert planner.reuse_stats == {
-            "hits": 0,
-            "misses": 0,
-            "basis_hits": 0,
-            "basis_misses": 0,
-        }
-        assert planner._last_values == {}
+        assert planner.reuse_stats == {"hits": 0, "misses": 0}
 
-    def test_disabled_reuse_never_hits(self):
+    def test_disabled_reuse_never_hits(self, no_scipy):
         planner, _ = _run_workload("sqpr", reuse=False)
         assert planner.reuse_stats["hits"] == 0
+
+
+class TestScipyFreePlatform:
+    def test_admissions_match_highs(self, request):
+        """Run to optimality, the scipy-free path admits what HiGHS admits."""
+        pytest.importorskip("scipy")
+
+        def admitted_set():
+            # Room for three single-operator queries; the rest are rejected.
+            catalog = make_catalog(num_hosts=3, cpu=1.2, num_base=4)
+            planner = create_planner(
+                "sqpr", catalog, config=PlannerConfig(time_limit=None)
+            )
+            workload = [
+                query_over("b0", "b1"),
+                query_over("b1", "b2"),
+                query_over("b2", "b3"),
+                query_over("b0", "b1", "b2"),
+                query_over("b0", "b3"),
+                query_over("b1", "b3"),
+            ]
+            outcomes = [planner.submit(item) for item in workload]
+            return planner, {o.query.query_id for o in outcomes if o.admitted}
+
+        highs_planner, highs = admitted_set()
+        assert highs_planner.solver.resolved_backend() is SolverBackend.HIGHS
+        request.getfixturevalue("no_scipy")
+        bnb_planner, bnb = admitted_set()
+        assert bnb_planner.solver.resolved_backend() is SolverBackend.BRANCH_AND_BOUND
+        assert MilpSolver().resolved_backend() is SolverBackend.BRANCH_AND_BOUND
+        assert bnb == highs
+        assert 0 < len(bnb) < 6
