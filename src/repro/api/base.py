@@ -95,12 +95,6 @@ class PlannerConfig:
         Extract the admitted query's deployed :class:`QueryPlan` into
         :attr:`PlanningOutcome.plan` (planners that keep a live allocation
         only; costs one plan extraction per admission).
-    reuse_model:
-        Reuse the built MILP across planning rounds whose reduced scope and
-        system state are identical (see
-        :class:`repro.core.model_builder.ModelReuseCache`).  A reuse hit
-        skips model construction and lowering entirely; it never changes
-        planning results, because the key covers every build input.
     warm_start:
         Hand a single query's frozen stage A a *constructive* start: the
         best §V-A greedy-reuse placement (:mod:`repro.core.candidates`)
@@ -116,18 +110,6 @@ class PlannerConfig:
         and cold planning admit the same queries when run to optimality;
         their objectives agree within ``mip_gap`` (two gap-optimal plans
         need not be equal).
-    reuse_index:
-        Maintain a persistent sub-plan index
-        (:class:`repro.dsps.subplan.SubPlanIndex`) of every resident
-        query's deployed sub-plan, keyed by the allocation points each plan
-        reads.  Admission-time garbage collection then re-extracts only the
-        plans an admission delta could have changed instead of rebuilding
-        the whole minimal allocation, and retirement removes exactly the
-        structures whose reference count dropped to zero.  The index never
-        changes planning results — the index-off path
-        (:func:`repro.dsps.plan.rebuild_minimal_allocation`) is the
-        cross-check oracle, and both produce identical allocations and
-        fingerprints.  SQPR-planner only; other planners ignore it.
     """
 
     time_limit: Optional[float] = 1.0
@@ -138,14 +120,11 @@ class PlannerConfig:
     max_relay_hops: int = 3
     load_balancing: float = 0.5
     mip_gap: float = 1e-3
-    garbage_collect: bool = True
     validate_after_apply: bool = False
     max_abstract_plans: int = 64
     use_miniw: bool = True
     record_plans: bool = False
-    reuse_model: bool = True
     warm_start: bool = True
-    reuse_index: bool = True
 
 
 #: Defaults for well-known planner-specific extras, so the legacy attribute

@@ -102,9 +102,7 @@ class FederatedPlanner(Planner):
         # frozen global state: shard-owned structures are reusable
         # background, never re-planning victims — shards stay the sole
         # owners of their placements.
-        coordinator_config = replace(
-            self.config, replan_overlapping=False, two_stage=False
-        )
+        coordinator_config = replace(self.config, replan_overlapping=False)
         self._gateway_view = GatewayCatalogView(catalog, lambda: self._merged)
         self._coordinator = self._inner_cls(
             self._gateway_view, config=coordinator_config

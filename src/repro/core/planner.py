@@ -31,7 +31,7 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.api.base import Planner, PlannerConfig, PlanningOutcome
 from repro.api.registry import register_planner
 from repro.core.candidates import best_candidate
-from repro.core.model_builder import ModelReuseCache, SqprModel, build_model
+from repro.core.model_builder import ModelReuseCache, SqprModel
 from repro.core.reduction import compute_scope, result_obtainable
 from repro.core.solution import decode_solution
 from repro.core.weights import ObjectiveWeights
@@ -74,23 +74,19 @@ class SQPRPlanner(Planner):
         # (see resubmit); tagged onto outcome extras so re-plan cost can be
         # separated from first-admission cost in metrics.
         self._resubmitting = False
-        self._subplan_index: Optional[SubPlanIndex] = (
-            SubPlanIndex(catalog) if self.config.reuse_index else None
-        )
-        if self._subplan_index is not None and allocation is None:
+        self._subplan_index = SubPlanIndex(catalog)
+        if allocation is None:
             # A fresh empty allocation is trivially minimal, so the index can
             # start in sync.  A caller-supplied allocation may carry garbage;
             # leave the index unsynchronised and let the first admission fall
-            # back to the index-free rebuild (which re-synchronises it).
+            # back to the minimal rebuild (which re-synchronises it).
             self._subplan_index.rebuild(self.allocation)
 
     def reset(self) -> None:
         """Forget outcomes, allocation and cached models."""
         super().reset()
         self._reuse_cache.clear()
-        if self._subplan_index is not None:
-            self._subplan_index.invalidate()
-            self._subplan_index.rebuild(self.allocation)
+        self._subplan_index.rebuild(self.allocation)
 
     def on_topology_change(self) -> List[int]:
         """Invalidate solver-layer caches after hosts failed or joined.
@@ -101,11 +97,10 @@ class SQPRPlanner(Planner):
         here — placement-level eviction happens in the engine.
         """
         self._reuse_cache.clear()
-        if self._subplan_index is not None:
-            # Plan extraction reads catalog state (base-injection liveness)
-            # that the index's read keys do not cover, so cached sub-plan
-            # records cannot survive a topology change.
-            self._subplan_index.invalidate()
+        # Plan extraction reads catalog state (base-injection liveness) that
+        # the index's read keys do not cover, so cached sub-plan records
+        # cannot survive a topology change.
+        self._subplan_index.invalidate()
         return []
 
     @property
@@ -115,9 +110,7 @@ class SQPRPlanner(Planner):
 
     @property
     def subplan_stats(self) -> Dict[str, int]:
-        """Sub-plan index maintenance counters (empty when the index is off)."""
-        if self._subplan_index is None:
-            return {}
+        """Sub-plan index maintenance counters."""
         stats = dict(self._subplan_index.stats)
         stats["records"] = len(self._subplan_index)
         return stats
@@ -136,17 +129,14 @@ class SQPRPlanner(Planner):
     def retire(self, query_id: int) -> bool:
         """Retire a query at the cost of what it exclusively held.
 
-        Falls back to the index-free path (``without_queries`` plus minimal
-        rebuild) whenever the index cannot guarantee an identical result:
-        index disabled, garbage collection off, an id the catalog does not
-        know, or an allocation the index is out of sync with.
+        Falls back to :meth:`Planner.retire` (``without_queries`` plus the
+        minimal rebuild) whenever the sub-plan index cannot guarantee an
+        identical result: an id the catalog does not know, or an allocation
+        the index is out of sync with.
         """
         index = self._subplan_index
-        if (
-            index is None
-            or not self.config.garbage_collect
-            or not self.catalog.has_query(query_id)
-            or not index.is_fresh(self.allocation)
+        if not self.catalog.has_query(query_id) or not index.is_fresh(
+            self.allocation
         ):
             return super().retire(query_id)
         # Prunes the live allocation in place; None means "not admitted".
@@ -297,21 +287,16 @@ class SQPRPlanner(Planner):
             replan_overlapping=replan_overlapping,
             max_replanned_queries=self.config.max_replanned_queries,
         )
-        build_kwargs = dict(
+        built, reused = self._reuse_cache.get_or_build(
+            self.catalog,
+            self.allocation,
+            scope,
+            self.weights,
             frozen_mode=frozen_mode,
             allow_relay=self.config.allow_relay,
             max_relay_hops=self.config.max_relay_hops,
             force_admission=force_admission and len(queries) == 1,
         )
-        if self.config.reuse_model:
-            built, reused = self._reuse_cache.get_or_build(
-                self.catalog, self.allocation, scope, self.weights, **build_kwargs
-            )
-        else:
-            built = build_model(
-                self.catalog, self.allocation, scope, self.weights, **build_kwargs
-            )
-            reused = False
         built.model.set_warm_start(self._stage_start(queries, built))
         result = self.solver.solve(built.model, time_limit=time_limit)
         return scope, built, result, reused
@@ -326,35 +311,27 @@ class SQPRPlanner(Planner):
         index = self._subplan_index
         # Freshness must be judged against the pre-delta allocation: that is
         # the state the index's records describe.
-        index_ok = (
-            index is not None
-            and self.config.garbage_collect
-            and index.is_fresh(self.allocation)
-        )
+        index_fresh = index.is_fresh(self.allocation)
         self.allocation.apply(decoded.delta)
-        if self.config.garbage_collect:
-            # Timed-out incumbents may contain redundant placements and
-            # flows; keep only what admitted queries actually need so wasted
-            # resources do not pile up over time.  With a fresh sub-plan
-            # index the collection prunes the live allocation in place
-            # (proportional to the delta and the affected sub-plans);
-            # otherwise fall back to the full rebuild, which replaces the
-            # object, and re-synchronise the index from its result.
-            if index_ok:
-                forced = {
-                    self.catalog.get_query(query_id).result_stream
-                    for query_id in (
-                        decoded.admitted_new_queries | built.scope.replanned_queries
-                    )
-                }
-                index.collect(self.allocation, decoded.delta, forced)
-            else:
-                self.allocation = rebuild_minimal_allocation(
-                    self.catalog, self.allocation
+        # Timed-out incumbents may contain redundant placements and flows;
+        # keep only what admitted queries actually need so wasted resources
+        # do not pile up over time.  With a fresh sub-plan index the
+        # collection prunes the live allocation in place (proportional to
+        # the delta and the affected sub-plans); otherwise fall back to the
+        # full rebuild, which replaces the object, and re-synchronise the
+        # index from its result.
+        if index_fresh:
+            forced = {
+                self.catalog.get_query(query_id).result_stream
+                for query_id in (
+                    decoded.admitted_new_queries | built.scope.replanned_queries
                 )
-                if index is not None:
-                    index.note_stale_fallback()
-                    index.rebuild(self.allocation)
+            }
+            index.collect(self.allocation, decoded.delta, forced)
+        else:
+            self.allocation = rebuild_minimal_allocation(self.catalog, self.allocation)
+            index.note_stale_fallback()
+            index.rebuild(self.allocation)
         if self.config.validate_after_apply:
             violations = self.allocation.validate()
             if violations:

@@ -29,15 +29,12 @@ a minimal allocation).  Every notification incrementally maintains
 * reverse indexes (host→operators, operator→hosts, stream→available hosts,
   host→available streams, stream→flow edges, link→streams, host→flows,
   (host, stream)→flow sources, host→provided streams),
-* cached per-host resource aggregates (CPU, in/out bandwidth, per-link
-  bandwidth),
+* cached resource aggregates (CPU and in/out bandwidth per host,
+  bandwidth per link and per ordered site pair's WAN gateway),
 * a rolling, order-independent allocation fingerprint
   (:meth:`Allocation.fingerprint`, used by the planner's model-reuse
-  cache),
-* per-stream rolling fingerprints (:meth:`Allocation.stream_fingerprint`)
-  — the same XOR terms bucketed by the stream each structure serves — used
-  by the sub-plan index (:mod:`repro.dsps.subplan`) to tell which cached
-  sub-plans an external allocation change could have invalidated,
+  cache; its structural part tells the sub-plan index
+  (:mod:`repro.dsps.subplan`) whether an external change happened),
 * query-membership indexes (candidate stream → admitted queries, candidate
   operator → admitted queries, result stream → admitted queries) that make
   reuse-overlap enumeration at admission time proportional to the overlap,
@@ -376,12 +373,9 @@ class Allocation:
         self._out_bw: Dict[int, float] = {}
         self._in_bw: Dict[int, float] = {}
         self._link_bw: Dict[Tuple[int, int], float] = {}
-        # Per-site aggregates (federated topologies): CPU consumed inside
-        # each site and bandwidth crossing each ordered site pair's shared
-        # WAN gateway.  Entry counts guard the exact-zero cleanup, like the
-        # per-host caches above.
-        self._site_cpu: Dict[int, float] = {}
-        self._site_ops: Dict[int, int] = {}
+        # Bandwidth crossing each ordered site pair's shared WAN gateway
+        # (federated topologies).  Entry counts guard the exact-zero
+        # cleanup, like the per-host caches above.
         self._wan_bw: Dict[Tuple[int, int], float] = {}
         self._wan_count: Dict[Tuple[int, int], int] = {}
         # Query-membership indexes over the admitted set: which admitted
@@ -398,30 +392,9 @@ class Allocation:
         # fingerprint (everything except admitted membership) is available
         # in O(1): structural = _fingerprint ^ _admitted_fp.
         self._admitted_fp = 0
-        # Per-stream slices of the rolling fingerprint: every structural
-        # term is additionally XOR-ed into the bucket of the stream it
-        # serves (placements bucket under their operator's output stream).
-        # Entry counts guard cleanup, like the aggregate caches above.
-        self._stream_fp: Dict[int, int] = {}
-        self._stream_fp_count: Dict[int, int] = {}
         self._touched_hosts: Set[int] = set()
         self._touched_streams: Set[int] = set()
         self._touched_operators: Set[int] = set()
-
-    def _stream_fp_add(self, stream_id: int, term: int) -> None:
-        self._stream_fp[stream_id] = self._stream_fp.get(stream_id, 0) ^ term
-        self._stream_fp_count[stream_id] = (
-            self._stream_fp_count.get(stream_id, 0) + 1
-        )
-
-    def _stream_fp_remove(self, stream_id: int, term: int) -> None:
-        count = self._stream_fp_count[stream_id] - 1
-        if count:
-            self._stream_fp_count[stream_id] = count
-            self._stream_fp[stream_id] ^= term
-        else:
-            del self._stream_fp_count[stream_id]
-            del self._stream_fp[stream_id]
 
     # ------------------------------------------------------------- index hooks
     def _flow_added(self, key: FlowKey) -> None:
@@ -445,9 +418,7 @@ class Allocation:
             pair = (src_site, dst_site)
             self._wan_bw[pair] = self._wan_bw.get(pair, 0.0) + rate
             self._wan_count[pair] = self._wan_count.get(pair, 0) + 1
-        term = hash((_FP_FLOW, src, dst, stream_id))
-        self._fingerprint ^= term
-        self._stream_fp_add(stream_id, term)
+        self._fingerprint ^= hash((_FP_FLOW, src, dst, stream_id))
         self._touched_hosts.add(src)
         self._touched_hosts.add(dst)
         self._touched_streams.add(stream_id)
@@ -504,9 +475,7 @@ class Allocation:
                 del self._wan_bw[pair]
             else:
                 self._wan_bw[pair] -= rate
-        term = hash((_FP_FLOW, src, dst, stream_id))
-        self._fingerprint ^= term
-        self._stream_fp_remove(stream_id, term)
+        self._fingerprint ^= hash((_FP_FLOW, src, dst, stream_id))
         self._touched_hosts.add(src)
         self._touched_hosts.add(dst)
         self._touched_streams.add(stream_id)
@@ -515,9 +484,7 @@ class Allocation:
         host, stream_id = key
         self._avail_by_stream.setdefault(stream_id, set()).add(host)
         self._avail_by_host.setdefault(host, set()).add(stream_id)
-        term = hash((_FP_AVAIL, host, stream_id))
-        self._fingerprint ^= term
-        self._stream_fp_add(stream_id, term)
+        self._fingerprint ^= hash((_FP_AVAIL, host, stream_id))
         self._touched_hosts.add(host)
         self._touched_streams.add(stream_id)
 
@@ -531,9 +498,7 @@ class Allocation:
         streams.discard(stream_id)
         if not streams:
             del self._avail_by_host[host]
-        term = hash((_FP_AVAIL, host, stream_id))
-        self._fingerprint ^= term
-        self._stream_fp_remove(stream_id, term)
+        self._fingerprint ^= hash((_FP_AVAIL, host, stream_id))
         self._touched_hosts.add(host)
         self._touched_streams.add(stream_id)
 
@@ -543,53 +508,36 @@ class Allocation:
         self._hosts_by_op.setdefault(operator_id, set()).add(host)
         operator = self.catalog.get_operator(operator_id)
         self._cpu_cache[host] = self._cpu_cache.get(host, 0.0) + operator.cpu_cost
-        site = self.catalog.site_of_host(host)
-        self._site_cpu[site] = self._site_cpu.get(site, 0.0) + operator.cpu_cost
-        self._site_ops[site] = self._site_ops.get(site, 0) + 1
-        term = hash((_FP_PLACE, host, operator_id))
-        self._fingerprint ^= term
-        self._stream_fp_add(operator.output_stream, term)
+        self._fingerprint ^= hash((_FP_PLACE, host, operator_id))
         self._touched_hosts.add(host)
         self._touched_operators.add(operator_id)
         self._touched_streams.add(operator.output_stream)
 
     def _placement_removed(self, key: PlaceKey) -> None:
         host, operator_id = key
+        operator = self.catalog.get_operator(operator_id)
         ops = self._ops_by_host[host]
         ops.discard(operator_id)
         if not ops:
             del self._ops_by_host[host]
             del self._cpu_cache[host]
         else:
-            operator = self.catalog.get_operator(operator_id)
             self._cpu_cache[host] -= operator.cpu_cost
-        site = self.catalog.site_of_host(host)
-        self._site_ops[site] -= 1
-        if not self._site_ops[site]:
-            del self._site_ops[site]
-            del self._site_cpu[site]
-        else:
-            self._site_cpu[site] -= self.catalog.get_operator(operator_id).cpu_cost
         hosts = self._hosts_by_op[operator_id]
         hosts.discard(host)
         if not hosts:
             del self._hosts_by_op[operator_id]
-        output_stream = self.catalog.get_operator(operator_id).output_stream
-        term = hash((_FP_PLACE, host, operator_id))
-        self._fingerprint ^= term
-        self._stream_fp_remove(output_stream, term)
+        self._fingerprint ^= hash((_FP_PLACE, host, operator_id))
         self._touched_hosts.add(host)
         self._touched_operators.add(operator_id)
-        self._touched_streams.add(output_stream)
+        self._touched_streams.add(operator.output_stream)
 
     def _provided_set(self, stream_id: int, host: int) -> None:
         self._provided_by_host.setdefault(host, set()).add(stream_id)
         self._out_bw[host] = self._out_bw.get(host, 0.0) + self.catalog.stream_rate(
             stream_id
         )
-        term = hash((_FP_PROVIDED, stream_id, host))
-        self._fingerprint ^= term
-        self._stream_fp_add(stream_id, term)
+        self._fingerprint ^= hash((_FP_PROVIDED, stream_id, host))
         self._touched_hosts.add(host)
         self._touched_streams.add(stream_id)
 
@@ -602,9 +550,7 @@ class Allocation:
             self._out_bw[host] -= self.catalog.stream_rate(stream_id)
         else:
             del self._out_bw[host]
-        term = hash((_FP_PROVIDED, stream_id, host))
-        self._fingerprint ^= term
-        self._stream_fp_remove(stream_id, term)
+        self._fingerprint ^= hash((_FP_PROVIDED, stream_id, host))
         self._touched_hosts.add(host)
         self._touched_streams.add(stream_id)
 
@@ -701,8 +647,6 @@ class Allocation:
         clone._out_bw = dict(self._out_bw)
         clone._in_bw = dict(self._in_bw)
         clone._link_bw = dict(self._link_bw)
-        clone._site_cpu = dict(self._site_cpu)
-        clone._site_ops = dict(self._site_ops)
         clone._wan_bw = dict(self._wan_bw)
         clone._wan_count = dict(self._wan_count)
         clone._queries_by_stream = {
@@ -714,8 +658,6 @@ class Allocation:
         clone._queries_by_result = {
             s: set(v) for s, v in self._queries_by_result.items()
         }
-        clone._stream_fp = dict(self._stream_fp)
-        clone._stream_fp_count = dict(self._stream_fp_count)
         clone._admitted_fp = self._admitted_fp
         clone._fingerprint = self._fingerprint
         # Pending touched state is inherited: a copy taken mid-event (the
@@ -756,29 +698,13 @@ class Allocation:
         """Hosts currently sending ``stream_id`` to ``host``."""
         return sorted(self._sources_by_sink.get((host, stream_id), ()))
 
-    def operators_on(self, host: int) -> FrozenSet[int]:
-        """Operators placed on ``host``."""
-        return frozenset(self._ops_by_host.get(host, ()))
-
     def placed_operators(self) -> List[int]:
         """Sorted ids of every operator with at least one placement."""
         return sorted(self._hosts_by_op)
 
-    def streams_at(self, host: int) -> FrozenSet[int]:
-        """Streams marked available at ``host``."""
-        return frozenset(self._avail_by_host.get(host, ()))
-
-    def provided_at(self, host: int) -> FrozenSet[int]:
-        """Streams served to clients from ``host``."""
-        return frozenset(self._provided_by_host.get(host, ()))
-
     def flow_edges_of_stream(self, stream_id: int) -> FrozenSet[Tuple[int, int]]:
         """The (src, dst) edges currently shipping ``stream_id``."""
         return frozenset(self._flow_edges_by_stream.get(stream_id, ()))
-
-    def flows_of_host(self, host: int) -> FrozenSet[FlowKey]:
-        """Every flow with ``host`` as source or destination."""
-        return frozenset(self._flows_by_host.get(host, ()))
 
     # ----------------------------------------------- query-membership indexes
     def queries_using_stream(self, stream_id: int) -> FrozenSet[int]:
@@ -795,13 +721,8 @@ class Allocation:
         """Admitted queries with ``operator_id`` among their candidates."""
         return frozenset(self._queries_by_operator.get(operator_id, ()))
 
-    def queries_for_result(self, stream_id: int) -> FrozenSet[int]:
-        """Admitted queries whose result stream is ``stream_id``."""
-        return frozenset(self._queries_by_result.get(stream_id, ()))
-
     def is_result_held(self, stream_id: int) -> bool:
-        """Whether any admitted query's result stream is ``stream_id`` (O(1),
-        where :meth:`queries_for_result` copies the whole holder set)."""
+        """Whether any admitted query's result stream is ``stream_id`` (O(1))."""
         return stream_id in self._queries_by_result
 
     def queries_using_stream_scan(self, stream_id: int) -> FrozenSet[int]:
@@ -825,7 +746,8 @@ class Allocation:
         )
 
     def queries_for_result_scan(self, stream_id: int) -> FrozenSet[int]:
-        """Full-scan recomputation of :meth:`queries_for_result`."""
+        """Admitted queries whose result stream is ``stream_id``, by full
+        scan (the oracle for :meth:`is_result_held`)."""
         catalog = self.catalog
         return frozenset(
             qid
@@ -936,10 +858,6 @@ class Allocation:
         return sum(self._link_bw.values())
 
     # ------------------------------------------------------ per-site aggregates
-    def site_cpu_used(self, site: int) -> float:
-        """CPU consumed by operator placements inside ``site`` (O(1))."""
-        return self._site_cpu.get(site, 0.0)
-
     def wan_used(
         self,
         src_site: int,
@@ -1022,15 +940,6 @@ class Allocation:
             return 0.0
         return max(self.cpu_used_scan(h) for h in self.catalog.host_ids)
 
-    def site_cpu_used_scan(self, site: int) -> float:
-        """Full-scan recomputation of :meth:`site_cpu_used`."""
-        catalog = self.catalog
-        return sum(
-            catalog.get_operator(o).cpu_cost
-            for (h, o) in self.placements
-            if catalog.site_of_host(h) == site
-        )
-
     def wan_used_scan(self, src_site: int, dst_site: int) -> float:
         """Full-scan recomputation of :meth:`wan_used`."""
         catalog = self.catalog
@@ -1078,43 +987,6 @@ class Allocation:
             len(self.placements),
             len(self.provided),
         )
-
-    def stream_fingerprint(self, stream_id: int) -> Tuple[int, int]:
-        """The rolling ``(xor, count)`` slice of one stream's structures.
-
-        Covers every flow/availability/provided entry of the stream plus
-        every placement of an operator producing it.  Two allocation states
-        in which the stream's structures are identical report the same
-        slice, so the sub-plan index can prove a cached sub-plan fresh
-        after an *external* allocation change by comparing the slices of
-        just the streams that plan reads.
-        """
-        return (
-            self._stream_fp.get(stream_id, 0),
-            self._stream_fp_count.get(stream_id, 0),
-        )
-
-    def stream_fingerprint_scan(self, stream_id: int) -> Tuple[int, int]:
-        """Full-scan recomputation of :meth:`stream_fingerprint`."""
-        fp = 0
-        count = 0
-        for src, dst, s in self.flows:
-            if s == stream_id:
-                fp ^= hash((_FP_FLOW, src, dst, s))
-                count += 1
-        for host, s in self.available:
-            if s == stream_id:
-                fp ^= hash((_FP_AVAIL, host, s))
-                count += 1
-        for host, operator_id in self.placements:
-            if self.catalog.get_operator(operator_id).output_stream == stream_id:
-                fp ^= hash((_FP_PLACE, host, operator_id))
-                count += 1
-        host = self.provided.get(stream_id)
-        if host is not None:
-            fp ^= hash((_FP_PROVIDED, stream_id, host))
-            count += 1
-        return fp, count
 
     def drain_touched(self) -> Tuple[Set[int], Set[int], Set[int]]:
         """Return and reset the (hosts, streams, operators) touched so far.

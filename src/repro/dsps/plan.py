@@ -272,8 +272,9 @@ def rebuild_minimal_allocation(catalog: SystemCatalog, allocation) -> "Allocatio
     result is always a subset of the input, so it can never violate resource
     capacities the input satisfied.
 
-    This is the reference route to the post-admission allocation: the
-    index-free planners use it directly, and
+    This is the reference route to the post-admission allocation: retirement
+    through :meth:`Allocation.without_queries`, host failures and adaptive
+    re-planning use it directly, and the SQPR planner's
     :class:`repro.dsps.subplan.SubPlanIndex` — which prunes the live
     allocation in place to the same content — falls back to it when stale
     and is tested against it as the oracle.

@@ -19,7 +19,7 @@ queries share one deployed sub-plan; under a reuse-heavy (Zipfian)
 workload the number of records grows with the number of *distinct* plans,
 not with the resident-query count.
 
-The contract with the index-free path is *equal decisions, equal content
+The contract with the rebuild route is *equal decisions, equal content
 fingerprints and a clean* ``validate()`` after every operation (the
 hypothesis oracle and the e2e benchmark assert all three) — not equal
 object state.  :meth:`SubPlanIndex.collect` and
@@ -51,21 +51,17 @@ External changes (the engine adopting a different allocation, the
 adaptive replanner replacing the planner's allocation, a host failure)
 are detected by comparing the allocation's *structural* fingerprint
 against the value stored after the last index operation; a mismatch makes
-the caller fall back to the index-free rebuild once, after which
-:meth:`SubPlanIndex.rebuild` re-synchronises.  The rebuild is accelerated
-by per-stream fingerprint slices
-(:meth:`~repro.dsps.allocation.Allocation.stream_fingerprint`): a cached
-record whose read streams all carry unchanged slices is provably still
-the extraction result and is kept without re-extracting it.  Catalog
-state (base-injection liveness) is read by extraction at points the read
-log does not cover, so :meth:`SubPlanIndex.invalidate` must be called on
-topology changes — the planner does this in ``on_topology_change`` and
-``reset``.
+the caller fall back to :func:`rebuild_minimal_allocation` once, after
+which :meth:`SubPlanIndex.rebuild` drops every record and re-extracts one
+per wanted result stream.  Catalog state (base-injection liveness) is read
+by extraction at points the read log does not cover, so
+:meth:`SubPlanIndex.invalidate` must be called on topology changes — the
+planner does this in ``on_topology_change`` and ``reset``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.dsps.allocation import Allocation, PlacementDelta
@@ -101,18 +97,15 @@ class SubPlanRecord:
     ``ops`` is the set of structures
     :func:`rebuild_minimal_allocation` emits for one query using this
     result stream — what the index reference-counts to decide which live
-    structures are still needed.  ``stream_slices`` snapshots the per-stream
-    fingerprint slice of every stream the extraction read, taken at
-    extraction time — the record's operator-subgraph fingerprint.  If
-    every slice still matches a live allocation, the record is provably
-    the plan a fresh extraction from it would return.
+    structures are still needed.  ``read_keys`` are the allocation points
+    the extraction read; a delta touching none of them leaves the record
+    exact.
     """
 
     result_stream: int
     provider: Optional[int]
     ops: FrozenSet[Op]
     read_keys: FrozenSet[ReadKey]
-    stream_slices: Tuple[Tuple[int, int, int], ...]  # (stream, xor, count)
 
     @property
     def num_structures(self) -> int:
@@ -183,12 +176,12 @@ class SubPlanIndex:
     """Cached extraction results over one planner's live allocation.
 
     The owning planner must call :meth:`is_fresh` before relying on any
-    incremental operation and fall back to the index-free path (followed
-    by :meth:`rebuild`) when it returns false.  :meth:`collect` and
+    incremental operation and fall back to
+    :func:`~repro.dsps.plan.rebuild_minimal_allocation` (followed by
+    :meth:`rebuild`) when it returns false.  :meth:`collect` and
     :meth:`retire` prune the live allocation in place down to the content
-    the index-free rebuild would construct, so index-on and index-off
-    runs yield equal allocation fingerprints — and therefore identical
-    planning decisions downstream.
+    that rebuild would construct, so both routes yield equal allocation
+    fingerprints — and therefore identical planning decisions downstream.
     """
 
     def __init__(self, catalog: SystemCatalog) -> None:
@@ -206,7 +199,6 @@ class SubPlanIndex:
             "incremental_retires": 0,
             "full_rebuilds": 0,
             "records_reextracted": 0,
-            "records_reused": 0,
             "stale_fallbacks": 0,
         }
 
@@ -231,7 +223,7 @@ class SubPlanIndex:
         )
 
     def note_stale_fallback(self) -> None:
-        """Record that a caller had to take the index-free path."""
+        """Record that a caller had to take the rebuild fallback."""
         self.stats["stale_fallbacks"] += 1
 
     def invalidate(self) -> None:
@@ -240,7 +232,7 @@ class SubPlanIndex:
         Plan extraction reads the catalog (base-stream injection points
         are filtered by host liveness) at points the read log does not
         cover, so cached records cannot be trusted across a topology
-        change even when their stream slices match.
+        change even when the allocation is unchanged.
         """
         self._records.clear()
         self._readers.clear()
@@ -278,16 +270,11 @@ class SubPlanIndex:
                             (_FLOW, (child.host, node.host, child.output_stream))
                         )
                         ops.add((_AVAIL, (node.host, child.output_stream)))
-        streams = {result_stream} | {s for (_h, s) in read_keys}
-        slices = tuple(
-            (s,) + allocation.stream_fingerprint(s) for s in sorted(streams)
-        )
         return SubPlanRecord(
             result_stream=result_stream,
             provider=provider,
             ops=frozenset(ops),
             read_keys=frozenset(read_keys),
-            stream_slices=slices,
         )
 
     def _add_record(self, record: SubPlanRecord) -> None:
@@ -331,42 +318,22 @@ class SubPlanIndex:
             else:
                 allocation.flows.discard(key)
 
-    def _slices_match(
-        self, record: SubPlanRecord, allocation: Allocation
-    ) -> bool:
-        stream_fingerprint = allocation.stream_fingerprint
-        return all(
-            stream_fingerprint(stream_id) == (xor, count)
-            for stream_id, xor, count in record.stream_slices
-        )
-
     # ------------------------------------------------------------------ rebuild
     def rebuild(self, allocation: Allocation) -> None:
         """Re-synchronise against ``allocation`` (which must already be
-        garbage-collected, i.e. the output of the index-free rebuild).
-
-        Cached records whose stream slices all still match are kept
-        without re-extraction — after a localised external change (a host
-        failure victimising a few queries) this skips the vast majority
-        of the resident population.
+        garbage-collected, i.e. the output of
+        :func:`~repro.dsps.plan.rebuild_minimal_allocation`): drop every
+        record and extract one per admitted result stream.
         """
         self.stats["full_rebuilds"] += 1
+        self.invalidate()
         catalog = self.catalog
         wanted = {
             catalog.get_query(query_id).result_stream
             for query_id in allocation.admitted_queries
             if catalog.has_query(query_id)
         }
-        for result_stream in list(self._records):
-            record = self._records[result_stream]
-            if result_stream not in wanted or not self._slices_match(
-                record, allocation
-            ):
-                self._drop_record(record)
         for result_stream in sorted(wanted):
-            if result_stream in self._records:
-                self.stats["records_reused"] += 1
-                continue
             self._add_record(self._extract(allocation, result_stream))
         self._fp = allocation.structural_fingerprint()
 
@@ -430,21 +397,6 @@ class SubPlanIndex:
         for stream_id in delta.set_provided:
             if not allocation.is_result_held(stream_id):
                 allocation.provided.pop(stream_id, None)
-        # Records were extracted from the pre-prune (post-apply) state; the
-        # prune dropped solver residue those extractions never used.
-        # Extraction has no backtracking, so from the minimal state it
-        # resolves along exactly the same path — re-snap the slices against
-        # it so a later rebuild() can recognise the records.
-        for result_stream in affected:
-            record = self._records.get(result_stream)
-            if record is not None:
-                self._records[result_stream] = replace(
-                    record,
-                    stream_slices=tuple(
-                        (s,) + allocation.stream_fingerprint(s)
-                        for s, _xor, _count in record.stream_slices
-                    ),
-                )
         self._fp = allocation.structural_fingerprint()
         return allocation
 
@@ -455,7 +407,7 @@ class SubPlanIndex:
         """Retire ``query_id``; mirror of ``without_queries`` + rebuild.
 
         Prunes ``allocation`` in place and returns it, or returns ``None``
-        when the query is not admitted (the index-free path returns
+        when the query is not admitted (``Planner.retire`` returns
         ``False`` then).  While another admitted query still holds the
         result stream only the admitted set changes; the last holder's
         departure unsets the provider and removes the structures no other

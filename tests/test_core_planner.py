@@ -165,7 +165,7 @@ class TestConfigurationVariants:
         catalog = make_catalog(num_hosts=3, num_base=4)
         planner = SQPRPlanner(
             catalog,
-            config=PlannerConfig(time_limit=5.0, garbage_collect=True),
+            config=PlannerConfig(time_limit=5.0),
         )
         planner.submit(query_over("b0", "b1"))
         planner.submit(query_over("b0", "b1", "b2"))

@@ -125,7 +125,7 @@ class TestAllocationAccounting:
         assert allocation.hosts_with_stream(1) == frozenset({0, 1})
         assert allocation.hosts_of_operator(operator.operator_id) == frozenset({0})
         assert allocation.flow_sources(0, 1) == [1]
-        assert allocation.operators_on(0) == frozenset({operator.operator_id})
+        assert allocation.placed_operators() == [operator.operator_id]
 
 
 class TestPlanValidationAndExtraction:

@@ -3,9 +3,9 @@
 The incremental-reuse machinery added to the MILP stack (parent-basis warm
 starts in branch and bound, the constructive stage-A start, the planner's
 model-reuse cache) is a pure speed optimisation.  This module pins down the
-contract: with reuse on or off, every registry planner admits the same
-queries and reports the same objective values, and the branch-and-bound
-solver returns the same optimum.  Tests that request the ``no_scipy``
+contract: with warm starts on or off, every registry planner admits the
+same queries and reports the same objective values, a retried query hits
+the model cache, and the branch-and-bound solver returns the same optimum.  Tests that request the ``no_scipy``
 fixture run the dependency-free path (branch and bound over the in-repo
 simplex) whether or not scipy is installed.
 """
@@ -78,14 +78,10 @@ class TestBranchAndBoundWarmStart:
         assert seeded.objective == pytest.approx(baseline.objective, rel=1e-6, abs=1e-6)
 
 
-def _run_workload(name: str, reuse: bool):
+def _run_workload(name: str, warm: bool):
     """Admit a small workload twice over (with repeats) and collect outcomes."""
     catalog = make_catalog(num_hosts=3, cpu=8.0, num_base=4)
-    config = PlannerConfig(
-        time_limit=2.0,
-        reuse_model=reuse,
-        warm_start=reuse,
-    )
+    config = PlannerConfig(time_limit=2.0, warm_start=warm)
     planner = create_planner(name, catalog, config=config)
     workload = [
         query_over("b0", "b1"),
@@ -101,8 +97,8 @@ def _run_workload(name: str, reuse: bool):
 class TestPlannerWarmStartEquivalence:
     @pytest.mark.parametrize("name", ALL_PLANNERS)
     def test_warm_and_cold_planning_agree(self, name, no_scipy):
-        planner, warm_outcomes = _run_workload(name, reuse=True)
-        _, cold_outcomes = _run_workload(name, reuse=False)
+        planner, warm_outcomes = _run_workload(name, warm=True)
+        _, cold_outcomes = _run_workload(name, warm=False)
         assert [o.admitted for o in warm_outcomes] == [o.admitted for o in cold_outcomes]
         # SQPR's warm solves start from a constructive incumbent and stop at
         # the configured gap: two gap-optimal plans need not be equal.  The
@@ -115,7 +111,7 @@ class TestPlannerWarmStartEquivalence:
                 )
 
     def test_sqpr_reports_reuse_extras(self, no_scipy):
-        _, outcomes = _run_workload("sqpr", reuse=True)
+        _, outcomes = _run_workload("sqpr", warm=True)
         planned = [o for o in outcomes if not o.duplicate]
         assert planned, "workload should exercise the planning path"
         for outcome in planned:
@@ -139,13 +135,9 @@ class TestModelReuseCache:
         assert retried.reused_model
 
     def test_reset_clears_reuse_state(self, no_scipy):
-        planner, _ = _run_workload("sqpr", reuse=True)
+        planner, _ = _run_workload("sqpr", warm=True)
         planner.reset()
         assert planner.reuse_stats == {"hits": 0, "misses": 0}
-
-    def test_disabled_reuse_never_hits(self, no_scipy):
-        planner, _ = _run_workload("sqpr", reuse=False)
-        assert planner.reuse_stats["hits"] == 0
 
 
 class TestScipyFreePlatform:

@@ -1,15 +1,16 @@
-"""The sub-plan reuse index: identity with the index-free planner.
+"""The sub-plan reuse index: identity with the minimal-rebuild fallback.
 
 The whole point of :class:`repro.dsps.subplan.SubPlanIndex` is that it
 *never changes planning results* — it only removes the per-admission
 linear pass over resident queries.  The tests here run two planners with
-identical inputs, one with the index and one without, through random
-admit / retire / host-failure / site-partition sequences, and assert
-that every admission decision and every allocation fingerprint is
-identical after every operation.  The index-free planner (with
-``rebuild_minimal_allocation`` on every admission) is the oracle, the
-same role the ``*_scan`` recomputations play for the allocation's own
-indexes.
+identical inputs through random admit / retire / host-failure /
+site-partition sequences and assert that every admission decision and
+every allocation fingerprint is identical after every operation.  One
+planner keeps its live index; the other's :class:`StaleSubPlanIndex` is
+never fresh, so it takes the ``rebuild_minimal_allocation`` /
+``without_queries`` fallback on every admission and retirement.  That
+twin is the oracle, the same role the ``*_scan`` recomputations play for
+the allocation's own indexes.
 """
 
 from __future__ import annotations
@@ -57,18 +58,31 @@ def build_catalog(
     return catalog
 
 
-def make_planner(catalog: SystemCatalog, reuse_index: bool) -> SQPRPlanner:
-    config = PlannerConfig(
-        time_limit=1.0, validate_after_apply=True, reuse_index=reuse_index
-    )
-    return SQPRPlanner(catalog, config=config)
+class StaleSubPlanIndex(SubPlanIndex):
+    """An index that never claims freshness, so its planner always takes
+    the ``rebuild_minimal_allocation`` / ``without_queries`` fallback."""
+
+    def is_fresh(self, allocation) -> bool:
+        return False
+
+
+def make_planner(
+    catalog: SystemCatalog, oracle: bool = False, **config
+) -> SQPRPlanner:
+    """An SQPR planner; ``oracle=True`` swaps in a :class:`StaleSubPlanIndex`."""
+    config.setdefault("time_limit", 1.0)
+    config.setdefault("validate_after_apply", True)
+    planner = SQPRPlanner(catalog, config=PlannerConfig(**config))
+    if oracle:
+        planner._subplan_index = StaleSubPlanIndex(catalog)
+    return planner
 
 
 def paired_planners(two_sites: bool = False):
-    """Two planners over twin catalogs: index-on and index-off oracle."""
+    """Two planners over twin catalogs: live index and fallback oracle."""
     return (
-        make_planner(build_catalog(two_sites), reuse_index=True),
-        make_planner(build_catalog(two_sites), reuse_index=False),
+        make_planner(build_catalog(two_sites)),
+        make_planner(build_catalog(two_sites), oracle=True),
     )
 
 
@@ -110,7 +124,7 @@ def assert_index_invariants(planner: SQPRPlanner) -> None:
 # --------------------------------------------------------------------- units
 class TestSubPlanIndexUnit:
     def test_fresh_from_construction_and_incremental_thereafter(self):
-        planner = make_planner(build_catalog(), reuse_index=True)
+        planner = make_planner(build_catalog())
         for names in (("b0", "b1"), ("b1", "b2"), ("b0", "b1")):
             outcome = planner.submit(query_over(*names))
             assert outcome.admitted
@@ -123,7 +137,7 @@ class TestSubPlanIndexUnit:
         assert stats["records"] == 2
 
     def test_duplicate_admission_keeps_index_fresh(self):
-        planner = make_planner(build_catalog(), reuse_index=True)
+        planner = make_planner(build_catalog())
         first = planner.submit(query_over("b0", "b1"))
         dup = planner.submit(query_over("b0", "b1"))
         assert first.admitted and dup.admitted
@@ -176,7 +190,7 @@ class TestSubPlanIndexUnit:
         assert p_off.retire(10_000) is False
 
     def test_reset_resyncs_on_empty_allocation(self):
-        planner = make_planner(build_catalog(), reuse_index=True)
+        planner = make_planner(build_catalog())
         planner.submit(query_over("b0", "b1"))
         planner.reset()
         assert len(planner._subplan_index) == 0
@@ -185,28 +199,27 @@ class TestSubPlanIndexUnit:
         assert outcome.admitted
         assert planner.subplan_stats["stale_fallbacks"] == 0
 
-    def test_rebuild_reuses_records_with_matching_slices(self):
-        planner = make_planner(build_catalog(), reuse_index=True)
+    def test_fallback_rebuild_reextracts_every_record(self):
+        planner = make_planner(build_catalog())
         for names in (("b0", "b1"), ("b2", "b3")):
             planner.submit(query_over(*names))
         index = planner._subplan_index
-        before = dict(index.stats)
-        # The allocation is already minimal, so a second rebuild must keep
-        # every record via its stream-fingerprint slices.
-        index.rebuild(planner.allocation)
-        assert index.stats["records_reused"] == before["records_reused"] + 2
-        assert (
-            index.stats["records_reextracted"] == before["records_reextracted"]
-        )
-
-    def test_index_off_planner_reports_no_stats(self):
-        planner = make_planner(build_catalog(), reuse_index=False)
-        planner.submit(query_over("b0", "b1"))
-        assert planner.subplan_stats == {}
-        assert planner._subplan_index is None
+        # External garbage makes the next admission take the fallback; the
+        # rebuild that follows must leave exactly what fresh extractions
+        # from the rebuilt allocation give, with matching reference counts.
+        planner.allocation.available.add((0, 5))
+        assert planner.submit(query_over("b1", "b2")).admitted
+        assert planner.subplan_stats["stale_fallbacks"] == 1
+        assert index.is_fresh(planner.allocation)
+        records = index.records
+        assert len(records) == 3
+        for result_stream, record in records.items():
+            assert record == index._extract(planner.allocation, result_stream)
+        recount = Counter(op for record in records.values() for op in record.ops)
+        assert index._refs == recount
 
     def test_records_are_replay_sequences(self):
-        planner = make_planner(build_catalog(), reuse_index=True)
+        planner = make_planner(build_catalog())
         outcome = planner.submit(query_over("b0", "b1"))
         index = planner._subplan_index
         record = index.records[outcome.query.result_stream]
@@ -238,17 +251,19 @@ class TestRetireCostsItsDelta:
     NUM_BASE = 10  # 45 arity-2 combinations >= POOL
 
     @classmethod
-    def roomy_planner(cls, reuse_index: bool) -> SQPRPlanner:
+    def roomy_planner(cls, oracle: bool) -> SQPRPlanner:
         # No time limit: a solve cut short returns a timing-dependent
         # incumbent, and the twins must plan identically.
-        return SQPRPlanner(
+        return make_planner(
             build_catalog(num_base=cls.NUM_BASE, roomy=20.0),
-            config=PlannerConfig(time_limit=None, reuse_index=reuse_index),
+            oracle=oracle,
+            time_limit=None,
+            validate_after_apply=False,
         )
 
     def test_duplicate_and_last_holder_retires_at_256_and_2048(self):
         rng = random.Random(7)
-        p_on, p_off = self.roomy_planner(True), self.roomy_planner(False)
+        p_on, p_off = self.roomy_planner(False), self.roomy_planner(True)
         combos = list(combinations([f"b{i}" for i in range(self.NUM_BASE)], 2))
         rng.shuffle(combos)
         pool = combos[: self.POOL]
@@ -314,7 +329,7 @@ class TestRetireCostsItsDelta:
 
 class TestReuseMatches:
     def test_exact_partial_and_fresh_classification(self):
-        planner = make_planner(build_catalog(), reuse_index=True)
+        planner = make_planner(build_catalog())
         resident = planner.submit(query_over("b0", "b1")).query
         duplicate = planner.catalog.register_query(query_over("b0", "b1"))
         overlapping = planner.catalog.register_query(query_over("b1", "b2"))
@@ -336,7 +351,7 @@ class TestReuseMatches:
         assert resident.query_id not in matches
 
     def test_submit_batch_attaches_reuse_extras(self):
-        planner = make_planner(build_catalog(), reuse_index=True)
+        planner = make_planner(build_catalog())
         planner.submit(query_over("b0", "b1"))
         outcomes = planner.submit_batch(
             [query_over("b0", "b1"), query_over("b1", "b2"), query_over("b4", "b5")]
@@ -389,7 +404,7 @@ def op_sequences(draw):
 
 
 class TestIndexMatchesOracle:
-    """Index-on == index-off across random lifecycle sequences."""
+    """Live index == rebuild-fallback oracle across random lifecycle sequences."""
 
     @given(ops=op_sequences())
     @fast_settings
