@@ -1,11 +1,11 @@
 """A long-running admission service under bursty query arrivals.
 
-Builds a 3-site federated scenario, starts a pipelined
-``AdmissionService`` over ``federated:sqpr`` with parallel per-site
-shards, and pushes a burst of site-local queries through it.  Co-arriving
-queries coalesce into batch admissions (one joint model per site group
-per batch), deploys run through the cluster engine while the next batch
-is already solving, and the service's metrics registry records what
+Builds a 3-site federated scenario, starts an ``AdmissionService`` over
+``federated:sqpr`` with parallel per-site shards, and pushes a burst of
+site-local queries through it.  The first query is solved at once; the
+ones that queue up behind its solve coalesce into batch admissions (one
+joint model per site group per batch), each batch deploys through the
+cluster engine, and the service's metrics registry records what
 happened — batch sizes, queue waits, solve and deploy timings, and the
 end-to-end admission-latency distribution.
 
@@ -39,15 +39,14 @@ def main() -> None:
     engine = ClusterEngine(catalog)
 
     config = ServiceConfig(
-        max_batch=8,          # coalesce up to 8 co-arrivals per batch
-        batch_window=0.05,    # wait this long for co-arrivals
+        max_batch=8,          # coalesce up to 8 queued queries per batch
         batch_time_limit=1.5, # flat solver budget per batch
         overload_policy="block",
     )
 
     with AdmissionService(planner, engine=engine, config=config) as service:
         # Fire the whole burst without waiting for decisions: each submit
-        # returns a ticket immediately and the pipeline coalesces.
+        # returns a ticket immediately and the worker coalesces.
         tickets = [service.submit(item) for item in workload]
         service.flush(timeout=60.0)
 

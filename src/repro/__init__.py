@@ -18,8 +18,8 @@ The package is organised as:
   :class:`ScenarioSpec` overrides, named operating regimes and scales,
   and the per-cell artifact bundles of the sweep runner,
 * :mod:`repro.service` — a long-running admission service over a planner:
-  bounded intake with overload policies, batch coalescing, pipelined
-  deploys through the cluster engine, and a metrics registry,
+  bounded intake with overload policies, batch coalescing, deploys
+  through the cluster engine, and a metrics registry,
 * :mod:`repro.experiments` — planner-agnostic drivers reproducing every
   figure of §V.
 

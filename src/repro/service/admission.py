@@ -11,12 +11,14 @@ queue.  When it is full the configured :class:`OverloadPolicy` decides:
 ``block`` applies backpressure to the caller, ``timeout`` blocks for a
 bounded wait and then sheds (:class:`AdmissionTimeout`).
 
-**Batch coalescing with a sequential-equivalence fallback.**  Queries
-that arrive while a solve is in flight coalesce into one batch — one
-MILP model build + solve per batch (per federated site group) instead
-of one per query.  Joint admission is the throughput lever under load,
-but SQPR's two-stage rescue (the forced-admission stage-B replan) only
-engages for singletons; the ``fallback`` policy compensates:
+**Work-conserving batch coalescing with a sequential-equivalence
+fallback.**  An arrival at an idle service is dispatched at once.
+Queries that arrive while a solve is in flight queue up and coalesce
+into the next batch — one MILP model build + solve per batch (per
+federated site group) instead of one per query.  Joint admission is the
+throughput lever under load, but SQPR's two-stage rescue (the
+forced-admission stage-B replan) only engages for singletons; the
+``fallback`` policy compensates:
 ``"batch"`` (default) re-plans every member individually when a batch
 admits *nothing* — the situation where sequential submission is known
 to behave differently — while ``"rejected"`` re-plans every rejected
@@ -25,17 +27,19 @@ overload.  Measured on the federated scenarios, ``"batch"`` admits the
 same queries or more than the sequential baseline (the joint model can
 co-place queries that one-at-a-time greedy admission strands).
 
-**Pipelined deploys through the cluster engine.**  Solving and
-deploying overlap: the solver stage snapshots the planner's allocation
-and the touched-entity sets of each batch, and the deploy stage
-delta-validates exactly those entities before handing the snapshot to
-:class:`~repro.dsps.engine.ClusterEngine` — the same
-validate-then-adopt contract the simulation harness uses, now run per
-admission batch while the next batch is already solving.
+**Deploys through the cluster engine.**  After each solve the service
+snapshots the planner's allocation and the batch's touched-entity sets,
+delta-validates exactly those entities and hands the snapshot to
+:class:`~repro.dsps.engine.ClusterEngine` — the same validate-then-adopt
+contract the simulation harness uses, run per admission batch.  One
+worker thread decides and deploys each batch in turn: a deploy costs a
+fraction of a millisecond against solves of milliseconds to seconds, so
+overlapping it with the next solve bought nothing.
 
-With ``pipelined=False`` the whole pipeline runs synchronously inside
-:meth:`AdmissionService.submit`, which keeps event-replay deterministic
-for the simulation harness and golden fixtures.
+With ``pipelined=False`` the same decide-and-deploy step runs
+synchronously inside :meth:`AdmissionService.submit`, which keeps
+event-replay deterministic for the simulation harness and golden
+fixtures.
 """
 
 from __future__ import annotations
@@ -97,10 +101,13 @@ class ServiceConfig:
     max_batch:
         Most queries coalesced into one batch admission.
     batch_window:
-        How long the batcher waits (seconds) for co-arrivals after the
-        first query of a batch before dispatching it.  Under sustained
-        load the queue is never empty and the window never idles; it
-        only delays the first arrival of a quiet period.
+        How long the worker waits (seconds) for co-arrivals after taking
+        the first query of a batch.  The default ``0.0`` is
+        work-conserving: an idle arrival is dispatched at once, and a
+        batch holds whatever queued up while the previous one solved.  A
+        positive window fills batches at the price of idle latency (the
+        fig11 benchmark keeps 1.2 s for its admission count).  The
+        synchronous drain never waits: it is the queue's only consumer.
     overload_policy:
         ``"reject"`` | ``"block"`` | ``"timeout"`` — see module docs.
     enqueue_timeout:
@@ -115,14 +122,15 @@ class ServiceConfig:
         ``"batch"`` (default), ``"rejected"``, or ``"none"`` — when to
         re-plan batch members individually, see module docs.
     pipelined:
-        ``True`` runs batcher / solver / deploy as overlapping threads;
-        ``False`` executes the identical stages synchronously inside
-        ``submit`` (deterministic, used by the simulation harness).
+        ``True`` decides and deploys batches on one background
+        ``admission-worker`` thread, so ``submit`` returns at once;
+        ``False`` runs the same step synchronously inside ``submit``
+        (deterministic, used by the simulation harness).
     """
 
     max_queue: int = 1024
     max_batch: int = 32
-    batch_window: float = 0.02
+    batch_window: float = 0.0
     overload_policy: OverloadPolicy = "block"
     enqueue_timeout: float = 1.0
     batch_time_limit: Optional[float] = None
@@ -206,11 +214,8 @@ class AdmissionTicket:
         return self.completed_at - self.enqueued_at
 
 
-_STOP = object()
-
-
 class AdmissionService:
-    """Batched, pipelined admission over a planner (see module docs).
+    """Batched, work-conserving admission over a planner (see module docs).
 
     Parameters
     ----------
@@ -245,15 +250,12 @@ class AdmissionService:
         self._arrivals: "queue.Queue" = queue.Queue(
             maxsize=self.config.max_queue
         )
-        # Depth 1 between stages: the solver works on one batch while the
-        # batcher coalesces the next and the deployer validates the last.
-        self._deploys: "queue.Queue" = queue.Queue(maxsize=1)
         self._closed = threading.Event()
         self._sync_lock = threading.Lock()
-        self._threads: List[threading.Thread] = []
+        self._worker: Optional[threading.Thread] = None
         self._stage_error: Optional[BaseException] = None
         # Tickets accepted but not yet resolved; flush() waits on this, not
-        # on queue emptiness (a batch in a stage's hands is in neither queue).
+        # on queue emptiness (the batch in the worker's hands is not queued).
         self._inflight = 0
         self._inflight_cv = threading.Condition()
 
@@ -287,19 +289,10 @@ class AdmissionService:
         }
 
         if self.config.pipelined:
-            solver = threading.Thread(
-                target=self._solver_loop,
-                name="admission-solver",
-                daemon=True,
+            self._worker = threading.Thread(
+                target=self._work, name="admission-worker", daemon=True
             )
-            deployer = threading.Thread(
-                target=self._deploy_loop,
-                name="admission-deployer",
-                daemon=True,
-            )
-            self._threads = [solver, deployer]
-            for thread in self._threads:
-                thread.start()
+            self._worker.start()
 
     # ------------------------------------------------------------------ intake
     def _enqueue(self, item: SubmitItem) -> AdmissionTicket:
@@ -307,7 +300,7 @@ class AdmissionService:
             raise ServiceClosed("the admission service is closed")
         if self._stage_error is not None:
             raise PlanningError(
-                "the admission pipeline died"
+                "the admission worker died"
             ) from self._stage_error
         ticket = AdmissionTicket(item)
         self._m_arrivals.inc()
@@ -359,7 +352,7 @@ class AdmissionService:
         Unlike repeated :meth:`submit`, in synchronous mode the whole
         group is enqueued *before* draining, so it coalesces into
         ``max_batch``-sized batches deterministically — the synchronous
-        twin of what the pipeline's batcher does under load.
+        twin of what the worker does under backlog.
         """
         if not self.config.pipelined:
             tickets = [self._enqueue(item) for item in items]
@@ -388,31 +381,30 @@ class AdmissionService:
     def _next_batch(
         self, block: bool
     ) -> Optional[List[AdmissionTicket]]:
-        """Coalesce up to ``max_batch`` tickets from the arrival queue."""
+        """Coalesce up to ``max_batch`` tickets from the arrival queue.
+
+        The worker (``block=True``) idles on the queue for a first ticket
+        and then waits up to ``batch_window`` for co-arrivals.  The
+        synchronous drain is the queue's only consumer, so it takes what
+        is already queued and never waits.
+        """
         try:
-            first = self._arrivals.get(
-                block=block, timeout=0.1 if block else None
-            )
+            batch = [
+                self._arrivals.get(block=block, timeout=0.1 if block else None)
+            ]
         except queue.Empty:
             return None
-        if first is _STOP:
-            return None
-        batch = [first]
-        deadline = time.perf_counter() + self.config.batch_window
+        window = self.config.batch_window if block else 0.0
+        deadline = time.perf_counter() + window
         while len(batch) < self.config.max_batch:
             remaining = deadline - time.perf_counter()
             try:
                 if remaining > 0:
-                    ticket = self._arrivals.get(timeout=remaining)
+                    batch.append(self._arrivals.get(timeout=remaining))
                 else:
-                    ticket = self._arrivals.get_nowait()
+                    batch.append(self._arrivals.get_nowait())
             except queue.Empty:
                 break
-            if ticket is _STOP:
-                # Preserve the sentinel for the loop's next round.
-                self._arrivals.put(_STOP)
-                break
-            batch.append(ticket)
         self._m_queue_depth.set(self._arrivals.qsize())
         return batch
 
@@ -441,7 +433,7 @@ class AdmissionService:
         self, batch: List[AdmissionTicket]
     ) -> Tuple[
         List[PlanningOutcome],
-        Allocation,
+        Optional[Allocation],
         Tuple[set, set, set],
     ]:
         """Plan one coalesced batch and snapshot the result for deploy."""
@@ -491,10 +483,11 @@ class AdmissionService:
         self._observe_solver_counters(outcomes)
         allocation = self.planner.allocation
         if self.engine is not None and allocation is not None:
-            # Drain exactly what this batch touched for the deploy stage's
+            # Drain exactly what this batch touched for the deploy's
             # delta-validation.  Without an engine the pending touched sets
             # are left alone — an outer owner (the simulation harness) may
-            # be tracking them for its own validation.
+            # be tracking them for its own validation.  The engine adopts a
+            # copy: the next batch mutates the planner's live allocation.
             touched = allocation.drain_touched()
             snapshot: Optional[Allocation] = allocation.copy()
         else:
@@ -539,52 +532,42 @@ class AdmissionService:
             if latency is not None:
                 self._m_latency.observe(latency)
 
-    def _drain_once(self) -> None:
-        """Synchronous path: run every stage for one batch, inline."""
-        batch = self._next_batch(block=False)
+    def _drain_once(self, block: bool = False) -> None:
+        """Decide and deploy one coalesced batch on the calling thread.
+
+        Every ticket of the batch resolves, whatever fails.  A failed
+        solve propagates: to the synchronous caller, or out of the worker
+        loop, which then stops.  A failed deploy propagates only to a
+        synchronous caller; the worker goes on to the next batch.
+        """
+        batch = self._next_batch(block)
         if not batch:
             return
-        outcomes, snapshot, touched = self._solve_batch(batch)
-        self._deploy_batch(batch, outcomes, snapshot, touched)
-
-    # ------------------------------------------------------------ stage loops
-    def _solver_loop(self) -> None:
         try:
-            while True:
-                if self._closed.is_set() and self._arrivals.empty():
-                    break
-                batch = self._next_batch(block=True)
-                if batch is None:
-                    if self._closed.is_set():
-                        break
-                    continue
-                planned = self._solve_batch(batch)
-                self._deploys.put((batch, planned))
-        except BaseException as error:  # pragma: no cover - defensive
+            planned = self._solve_batch(batch)
+        except BaseException as error:
+            for ticket in batch:
+                self._finish(ticket, error=error)
+            raise
+        try:
+            self._deploy_batch(batch, *planned)
+        except Exception:
+            if not block:
+                raise
+
+    def _work(self) -> None:
+        """The ``admission-worker`` loop: drain batches until closed."""
+        try:
+            while not (self._closed.is_set() and self._arrivals.empty()):
+                self._drain_once(block=True)
+        except Exception as error:
+            # A failed solve stops the worker; _enqueue refuses from now on.
             self._stage_error = error
             self._fail_pending(error)
         finally:
-            # A submit racing close() can slip a ticket in behind the stop
-            # sentinel; nothing will plan it, so fail it loudly.
+            # A submit racing close() can slip a ticket in after the last
+            # drain; nothing will plan it, so fail it loudly.
             self._fail_pending(ServiceClosed("the admission service closed"))
-            self._deploys.put(_STOP)
-
-    def _deploy_loop(self) -> None:
-        try:
-            while True:
-                entry = self._deploys.get()
-                if entry is _STOP:
-                    break
-                batch, (outcomes, snapshot, touched) = entry
-                try:
-                    self._deploy_batch(batch, outcomes, snapshot, touched)
-                except BaseException:
-                    # The batch's tickets already carry the error; the
-                    # pipeline keeps serving subsequent batches.
-                    continue
-        except BaseException as error:  # pragma: no cover - defensive
-            self._stage_error = error
-            self._fail_pending(error)
 
     def _fail_pending(self, error: BaseException) -> None:
         while True:
@@ -592,8 +575,7 @@ class AdmissionService:
                 ticket = self._arrivals.get_nowait()
             except queue.Empty:
                 break
-            if ticket is not _STOP:
-                self._finish(ticket, error=error)
+            self._finish(ticket, error=error)
 
     # --------------------------------------------------------------- lifecycle
     def flush(self, timeout: Optional[float] = None) -> None:
@@ -622,15 +604,11 @@ class AdmissionService:
         if self._closed.is_set():
             return
         self._closed.set()
-        if self.config.pipelined:
-            self._arrivals.put(_STOP)
+        if self._worker is not None:
             if wait:
-                for thread in self._threads:
-                    thread.join(timeout=60.0)
+                self._worker.join(timeout=60.0)
         elif wait:
-            with self._sync_lock:
-                while not self._arrivals.empty():
-                    self._drain_once()
+            self.flush()
 
     def __enter__(self) -> "AdmissionService":
         return self

@@ -7,7 +7,7 @@ increasing :class:`Counter`\\ s (arrivals, admissions, fallbacks),
 tail-latency quantiles.  A :class:`MetricsRegistry` names and owns the
 instruments and exports one JSON-serialisable snapshot.
 
-Everything here is safe under concurrent use from the pipeline stages
+Everything here is safe under concurrent use from the service's worker
 and caller threads; instruments take a per-instrument lock only around
 small mutations, never around I/O.
 """

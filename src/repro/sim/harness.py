@@ -261,8 +261,8 @@ class SimulationHarness:
         the service instead of calling ``planner.submit`` directly — the
         schedule replays through the real admission path (queue, batch
         coalescing, fallback policy).  The service must be synchronous
-        (``pipelined=False``, the single-worker configuration) so replay
-        stays deterministic, and must not own an engine of its own — the
+        (``pipelined=False``: the caller's thread decides, no background
+        worker) so replay stays deterministic, and must not own an engine of its own — the
         harness keeps doing the validating and engine syncing.
     validate_invariants:
         Check the planner's allocation after every event and raise

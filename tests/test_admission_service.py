@@ -10,6 +10,7 @@ engine, and the metrics instruments themselves.
 from __future__ import annotations
 
 import json
+import queue
 import threading
 import time
 
@@ -52,6 +53,19 @@ def make_service(pipelined=False, engine=True, **config_kwargs):
         config=ServiceConfig(pipelined=pipelined, **config_kwargs),
     )
     return service, planner, cluster
+
+
+def hold_solves(planner):
+    """Make ``planner.submit_batch`` wait until the returned event is set."""
+    release = threading.Event()
+    plan_batch = planner.submit_batch
+
+    def held_submit_batch(*args, **kwargs):
+        assert release.wait(timeout=30.0)
+        return plan_batch(*args, **kwargs)
+
+    planner.submit_batch = held_submit_batch
+    return release
 
 
 class TestMetrics:
@@ -213,7 +227,7 @@ class TestPipelinedService:
         sync_service.close()
 
         pipe_service, pipe_planner, pipe_engine = make_service(
-            pipelined=True, max_batch=1, batch_window=0.0
+            pipelined=True, max_batch=1
         )
         tickets = [pipe_service.submit(item) for item in small_workload(6)]
         pipe_service.flush(timeout=30.0)
@@ -233,14 +247,18 @@ class TestPipelinedService:
         )
 
     def test_pipeline_coalesces_under_backlog(self):
-        service, _, _ = make_service(
-            pipelined=True, max_batch=8, batch_window=0.05
-        )
-        tickets = [service.submit(item) for item in small_workload(8)]
+        service, planner, _ = make_service(pipelined=True)
+        # Hold the worker in its first solve: everything submitted
+        # meanwhile queues up and must leave as one batch, with no window.
+        release = hold_solves(planner)
+        try:
+            tickets = [service.submit(item) for item in small_workload(8)]
+        finally:
+            release.set()
         service.flush(timeout=30.0)
         assert all(t.result(timeout=5.0) is not None for t in tickets)
         counters = service.metrics.snapshot()["counters"]
-        assert counters["batches_total"] < 8  # real coalescing happened
+        assert counters["batches_total"] <= 2
         service.close()
 
     def test_close_drains_accepted_work(self):
@@ -251,16 +269,9 @@ class TestPipelinedService:
 
     def test_flush_timeout_raises(self):
         service, planner, _ = make_service(pipelined=True)
-        # Hold the solver stage on an event, so the timeout does not depend
+        # Hold the worker's solve on an event, so the timeout does not depend
         # on how long a solve happens to take.
-        release = threading.Event()
-        plan_batch = planner.submit_batch
-
-        def held_submit_batch(*args, **kwargs):
-            assert release.wait(timeout=30.0)
-            return plan_batch(*args, **kwargs)
-
-        planner.submit_batch = held_submit_batch
+        release = hold_solves(planner)
         ticket = service.submit(small_workload(1)[0])
         try:
             with pytest.raises(AdmissionTimeout):
@@ -270,6 +281,108 @@ class TestPipelinedService:
             release.set()
         service.flush(timeout=30.0)
         assert ticket.result(timeout=5.0).admitted
+        service.close()
+
+
+def record_arrival_gets(service):
+    """Log ``(kind, block)`` for every ``_arrivals.get`` the service makes.
+
+    ``kind`` is ``"ticket"`` or ``"empty"``; ``block`` says whether the
+    call could wait (``get_nowait`` goes through ``get(block=False)``).
+    Returns the log and an event set once the first logged call starts.
+    """
+    log = []
+    polling = threading.Event()
+    real_get = service._arrivals.get
+
+    def get(block=True, timeout=None):
+        polling.set()
+        try:
+            item = real_get(block, timeout)
+        except queue.Empty:
+            log.append(("empty", block))
+            raise
+        log.append(("ticket", block))
+        return item
+
+    service._arrivals.get = get
+    return log, polling
+
+
+class TestWorkConserving:
+    def test_lone_arrival_on_idle_worker_is_dispatched_at_once(self):
+        service, planner, _ = make_service(pipelined=True)
+        log, polling = record_arrival_gets(service)
+        plan_batch = planner.submit_batch
+
+        def logged_submit_batch(*args, **kwargs):
+            log.append(("solve", None))
+            return plan_batch(*args, **kwargs)
+
+        planner.submit_batch = logged_submit_batch
+        # Submit once the idle worker polls through the logged get, so the
+        # call that takes the ticket is in the log.
+        assert polling.wait(timeout=5.0)
+        ticket = service.submit(small_workload(1)[0])
+        assert ticket.result(timeout=30.0).admitted
+        service.close()
+        taken = log.index(("ticket", True))
+        solved = log.index(("solve", None))
+        assert taken < solved
+        # Between taking the ticket and solving, nothing waited for
+        # co-arrivals.
+        assert [e for e in log[taken + 1 : solved] if e[1]] == []
+
+    def test_synchronous_drain_ignores_the_window(self):
+        service, _, _ = make_service(batch_window=5.0)
+        log, _ = record_arrival_gets(service)
+        tickets = service.submit_many(small_workload(3))
+        assert all(ticket.done() for ticket in tickets)
+        assert service.metrics.snapshot()["counters"]["batches_total"] == 1
+        assert log and not any(block for _, block in log)
+        service.close()
+
+
+class _SolveFailed(RuntimeError):
+    pass
+
+
+def fail_every_solve(planner):
+    def submit_batch(*args, **kwargs):
+        raise _SolveFailed("the solver raised")
+
+    planner.submit_batch = submit_batch
+
+
+class TestFailedSolve:
+    def test_synchronous_failure_resolves_the_batch(self):
+        service, planner, _ = make_service()
+        fail_every_solve(planner)
+        tickets = [service._enqueue(item) for item in small_workload(2)]
+        # The synchronous drain hands the planner's error to its caller...
+        with pytest.raises(_SolveFailed):
+            service.flush()
+        # ...and to every ticket of the batch, which no longer counts as
+        # in flight.
+        for ticket in tickets:
+            with pytest.raises(_SolveFailed):
+                ticket.result(timeout=5.0)
+        assert service._inflight == 0
+        service.flush()
+        service.close()
+
+    def test_worker_failure_resolves_the_batch(self):
+        service, planner, _ = make_service(pipelined=True)
+        fail_every_solve(planner)
+        ticket = service.submit(small_workload(1)[0])
+        service.flush(timeout=10.0)
+        with pytest.raises(_SolveFailed):
+            ticket.result(timeout=5.0)
+        # A failed solve stops the worker; later submissions are refused.
+        service._worker.join(timeout=5.0)
+        assert not service._worker.is_alive()
+        with pytest.raises(PlanningError, match="worker died"):
+            service.submit(small_workload(1)[0])
         service.close()
 
 
