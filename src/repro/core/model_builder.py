@@ -18,6 +18,14 @@ irrelevant streams are conceptually fixed to their previous values, which we
 realise by not instantiating them and instead subtracting their resource
 usage from the capacities ("background usage").
 
+The variables are registered as :class:`~repro.milp.expression.Variable`
+objects (the :class:`SqprModel` maps, decoding and warm starts read them), but
+every row is emitted straight into :meth:`Model.add_row` through the
+variables' column indices: the builder creates no expression objects, and
+lowering only stacks the stored rows.  The same formulation written with
+``LinExpr`` objects is kept as the test oracle
+``tests/oracles/expr_model_builder.py``; both must lower to identical arrays.
+
 Two planning modes are supported:
 
 ``replan`` (paper behaviour)
@@ -42,7 +50,7 @@ from repro.core.reduction import ReplanScope
 from repro.core.weights import ObjectiveWeights
 from repro.dsps.allocation import Allocation, PlacementDelta
 from repro.dsps.catalog import SystemCatalog
-from repro.milp import LinExpr, Model, ObjectiveSense, Variable, VarType, lin_sum
+from repro.milp import ConstraintSense, LinExpr, Model, ObjectiveSense, Variable
 from repro.exceptions import ModelError
 
 
@@ -256,21 +264,37 @@ def build_model(
         for h in allocation.hosts_with_stream(s):
             built.availability_credit.add((h, s))
 
+    # Column indices of each variable family: the rows are emitted through them.
+    y, d, x, z, p = (
+        {key: var.index for key, var in family.items()}
+        for family in (built.y_vars, built.d_vars, built.x_vars, built.z_vars, built.p_vars)
+    )
+    add_row = model.add_row
+    LE, GE, EQ = ConstraintSense.LE, ConstraintSense.GE, ConstraintSense.EQ
+
+    placed_credit: Dict[Tuple[int, int], int] = {}
+    for h, o in built.placed_operator_credit:
+        key = (h, catalog.get_operator(o).output_stream)
+        placed_credit[key] = placed_credit.get(key, 0) + 1
+
+    def standing_sources(h: int, s: int) -> float:
+        """Sources of ``s`` at ``h`` that no variable models: base injection,
+        the availability credit and already-placed producers."""
+        base = catalog.streams.get(s).is_base and h in catalog.base_hosts_of(s)
+        return float(
+            base + ((h, s) in built.availability_credit) + placed_credit.get((h, s), 0)
+        )
+
     # --------------------------------------------------------- demand constraints
-    for s in sorted(requested_for_d):
-        for h in hosts:
-            model.add_constr(
-                built.d_vars[(h, s)] <= built.y_vars[(h, s)],
-                name=f"demand_avail[{h},{s}]",
-            )
-        total_d = lin_sum(built.d_vars[(h, s)] for h in hosts)
-        if s in scope.keep_provided:
-            # (IV.9): already admitted queries may move but not be dropped.
-            model.add_constr(total_d == 1, name=f"keep_admitted[{s}]")
-        elif force_admission and s in new_results:
-            model.add_constr(total_d == 1, name=f"force_admit[{s}]")
-        else:
-            model.add_constr(total_d <= 1, name=f"demand_once[{s}]")
+    requested = sorted(requested_for_d)
+    for s in requested:
+        cols = [d[(h, s)] for h in hosts]
+        for h, col in zip(hosts, cols):
+            add_row((col, y[(h, s)]), (1.0, -1.0), LE, 0.0)
+        # (IV.9): already admitted queries may move but not be dropped;
+        # forced admission pins a new result the same way.
+        pinned = s in scope.keep_provided or (force_admission and s in new_results)
+        add_row(cols, [1.0] * len(cols), EQ if pinned else LE, 1.0)
 
     # --------------------------------------------------- availability constraints
     producers_in_scope: Dict[int, List[int]] = {}
@@ -279,70 +303,36 @@ def build_model(
         producers_in_scope.setdefault(operator.output_stream, []).append(o)
 
     for s in scope_streams:
-        stream = catalog.streams.get(s)
+        producers = producers_in_scope.get(s, [])
         for m in hosts:
-            sources: List = [
-                built.x_vars[(h, m, s)] for h in hosts if h != m
-            ]
-            for o in producers_in_scope.get(s, []):
-                var = built.z_vars.get((m, o))
-                if var is not None:
-                    sources.append(var)
-            credit = 0.0
-            if stream.is_base and m in catalog.base_hosts_of(s):
-                credit += 1.0
-            if (m, s) in built.availability_credit:
-                credit += 1.0
-            for h, o in built.placed_operator_credit:
-                if h == m and catalog.get_operator(o).output_stream == s:
-                    credit += 1.0
-            model.add_constr(
-                built.y_vars[(m, s)] <= lin_sum(sources) + credit,
-                name=f"avail_source[{m},{s}]",
-            )
+            cols = [y[(m, s)]] + [x[(h, m, s)] for h in hosts if h != m]
+            cols += [z[(m, o)] for o in producers if (m, o) in z]
+            add_row(cols, [1.0] + [-1.0] * (len(cols) - 1), LE, standing_sources(m, s))
 
     for o in scope_operators:
         operator = catalog.get_operator(o)
         for h in hosts:
-            z_var = built.z_vars.get((h, o))
-            if z_var is None:
+            col = z.get((h, o))
+            if col is None:
                 continue
             for s in operator.input_streams:
                 if s in scope.streams:
-                    model.add_constr(
-                        z_var <= built.y_vars[(h, s)],
-                        name=f"op_inputs[{h},{o},{s}]",
-                    )
+                    add_row((col, y[(h, s)]), (1.0, -1.0), LE, 0.0)
                 elif not allocation.is_available(h, s):
                     # Input outside the scope and not already present: the
                     # operator cannot run here in this round.
-                    model.add_constr(z_var <= 0, name=f"op_inputs_fixed[{h},{o},{s}]")
+                    add_row((col,), (1.0,), LE, 0.0)
 
-    for (h, m, s), x_var in built.x_vars.items():
-        model.add_constr(x_var <= built.y_vars[(h, s)], name=f"flow_avail[{h},{m},{s}]")
+    for (h, m, s), col in x.items():
+        add_row((col, y[(h, s)]), (1.0, -1.0), LE, 0.0)
         if not allow_relay:
             # Sender must generate the stream locally (no relaying).
-            stream = catalog.streams.get(s)
-            generators: List = [
-                built.z_vars[(h, o)]
-                for o in producers_in_scope.get(s, [])
-                if (h, o) in built.z_vars
-            ]
-            credit = 0.0
-            if stream.is_base and h in catalog.base_hosts_of(s):
-                credit += 1.0
-            if (h, s) in built.availability_credit:
-                credit += 1.0
-            for hh, o in built.placed_operator_credit:
-                if hh == h and catalog.get_operator(o).output_stream == s:
-                    credit += 1.0
-            model.add_constr(
-                x_var <= lin_sum(generators) + credit,
-                name=f"no_relay[{h},{m},{s}]",
-            )
+            cols = [col] + [z[(h, o)] for o in producers_in_scope.get(s, []) if (h, o) in z]
+            add_row(cols, [1.0] + [-1.0] * (len(cols) - 1), LE, standing_sources(h, s))
 
     # ------------------------------------------------------- resource constraints
     rate = catalog.stream_rate
+    rates = [rate(s) for s in scope_streams]
     for h in hosts:
         for m in hosts:
             if h == m:
@@ -350,8 +340,7 @@ def build_model(
             link_free = catalog.link_capacity(h, m) - allocation.link_used(
                 h, m, exclude_streams=exclude_streams
             )
-            terms = [rate(s) * built.x_vars[(h, m, s)] for s in scope_streams]
-            model.add_constr(lin_sum(terms) <= link_free, name=f"link[{h},{m}]")
+            add_row([x[(h, m, s)] for s in scope_streams], rates, LE, link_free)
 
     if catalog.num_sites > 1:
         # Shared WAN gateways (federated topologies): every flow crossing
@@ -360,86 +349,71 @@ def build_model(
         # this.  Background usage follows the same teardown-exclusion rule
         # as the per-link background.
         site_of = catalog.site_of_host
-        wan_rows: Dict[Tuple[int, int], List] = {}
-        for (h, m, s), x_var in built.x_vars.items():
+        wan_rows: Dict[Tuple[int, int], Tuple[List[int], List[float]]] = {}
+        for (h, m, s), col in x.items():
             src_site = site_of(h)
             dst_site = site_of(m)
             if src_site != dst_site:
-                wan_rows.setdefault((src_site, dst_site), []).append(
-                    rate(s) * x_var
-                )
-        for (src_site, dst_site), terms in sorted(wan_rows.items()):
+                cols, coefs = wan_rows.setdefault((src_site, dst_site), ([], []))
+                cols.append(col)
+                coefs.append(rate(s))
+        for (src_site, dst_site), (cols, coefs) in sorted(wan_rows.items()):
             effective = catalog.effective_wan_capacity(src_site, dst_site)
             if effective is None:
                 continue
             wan_free = effective - allocation.wan_used(
                 src_site, dst_site, exclude_streams=exclude_streams
             )
-            model.add_constr(
-                lin_sum(terms) <= wan_free,
-                name=f"wan[{src_site},{dst_site}]",
-            )
+            add_row(cols, coefs, LE, wan_free)
 
+    # Each stream's rate once per peer host, stream-major: the coefficients
+    # of one host's inbound (or outbound) flows.
+    peer_rates = [r for r in rates for _ in range(num_hosts - 1)]
     for m in hosts:
         bandwidth = catalog.hosts.get(m).bandwidth_capacity
+        peers = [h for h in hosts if h != m]
         in_free = bandwidth - allocation.in_bandwidth_used(m, exclude_streams=exclude_streams)
-        in_terms = [
-            rate(s) * built.x_vars[(h, m, s)]
-            for s in scope_streams
-            for h in hosts
-            if h != m
-        ]
-        model.add_constr(lin_sum(in_terms) <= in_free, name=f"in_bw[{m}]")
+        add_row([x[(h, m, s)] for s in scope_streams for h in peers], peer_rates, LE, in_free)
 
         out_free = bandwidth - allocation.out_bandwidth_used(m, exclude_streams=exclude_streams)
-        out_terms: List[LinExpr] = [
-            rate(s) * built.x_vars[(m, dst, s)]
-            for s in scope_streams
-            for dst in hosts
-            if dst != m
-        ]
-        out_terms.extend(
-            rate(s) * built.d_vars[(m, s)] for s in sorted(requested_for_d)
+        add_row(
+            [x[(m, dst, s)] for s in scope_streams for dst in peers]
+            + [d[(m, s)] for s in requested],
+            peer_rates + [rate(s) for s in requested],
+            LE,
+            out_free,
         )
-        model.add_constr(lin_sum(out_terms) <= out_free, name=f"out_bw[{m}]")
 
+    cpu_cost = {o: catalog.get_operator(o).cpu_cost for o in scope_operators}
     for h in hosts:
         cpu_background = allocation.cpu_used(h, exclude_operators=exclude_operators)
         cpu_free = catalog.hosts.get(h).cpu_capacity - cpu_background
-        cpu_terms = [
-            catalog.get_operator(o).cpu_cost * built.z_vars[(h, o)]
-            for o in scope_operators
-            if (h, o) in built.z_vars
-        ]
-        model.add_constr(lin_sum(cpu_terms) <= cpu_free, name=f"cpu[{h}]")
+        placeable = [o for o in scope_operators if (h, o) in z]
+        cols = [z[(h, o)] for o in placeable]
+        costs = [cpu_cost[o] for o in placeable]
+        add_row(cols, costs, LE, cpu_free)
         # Linearisation of O4: max_load >= total CPU on every host.
-        model.add_constr(
-            lin_sum(cpu_terms) + cpu_background <= load_var,
-            name=f"max_load[{h}]",
-        )
+        add_row(cols + [load_var.index], costs + [-1.0], LE, -cpu_background)
 
     # ----------------------------------------------------- acyclicity constraints
-    for (h, m, s), x_var in built.x_vars.items():
-        model.add_constr(
-            p_vars[(h, s)] >= p_vars[(m, s)] + 1 - big_m * (1 - x_var.to_expr()),
-            name=f"acyclic[{h},{m},{s}]",
-        )
+    # p[h,s] >= p[m,s] + 1 - big_m·(1 - x[h,m,s])
+    for (h, m, s), col in x.items():
+        add_row((p[(h, s)], p[(m, s)], col), (1.0, -1.0, -big_m), GE, 1.0 - big_m)
 
     # ------------------------------------------------------------------ objective
-    admission_terms = [
-        built.d_vars[(h, s)] for s in new_results for h in hosts if (h, s) in built.d_vars
-    ]
-    network_terms = [rate(s) * var for (h, m, s), var in built.x_vars.items()]
-    cpu_cost_terms = [
-        catalog.get_operator(o).cpu_cost * var for (h, o), var in built.z_vars.items()
-    ]
-    objective = (
-        weights.admission * lin_sum(admission_terms)
-        - weights.network * lin_sum(network_terms)
-        - weights.cpu * lin_sum(cpu_cost_terms)
-        - weights.balance * load_var
-    )
-    model.set_objective(objective)
+    # λ1·admissions − λ2·network − λ3·CPU − λ4·max load.
+    objective: Dict[Variable, float] = {
+        built.d_vars[(h, s)]: weights.admission
+        for s in new_results
+        for h in hosts
+        if (h, s) in built.d_vars
+    }
+    for (h, m, s), var in built.x_vars.items():
+        objective[var] = -(rate(s) * weights.network)
+    for (h, o), var in built.z_vars.items():
+        objective[var] = -(cpu_cost[o] * weights.cpu)
+    objective[load_var] = -weights.balance
+    model.set_objective(LinExpr(objective))
     return built
 
 

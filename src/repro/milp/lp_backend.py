@@ -70,7 +70,8 @@ def _to_scipy_matrix(matrix, num_cols: int):
 
 def _solve_with_scipy(c, a_ub, b_ub, a_eq, b_eq, lower, upper) -> LpSolution:
     n = len(c)
-    bounds = list(zip(lower, [u if np.isfinite(u) else None for u in upper]))
+    # linprog reads an (n, 2) array directly and ±inf as "unbounded".
+    bounds = np.column_stack((lower, upper))
     a_ub_mat = _to_scipy_matrix(a_ub, n)
     a_eq_mat = _to_scipy_matrix(a_eq, n)
     result = _scipy_linprog(

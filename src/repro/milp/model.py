@@ -1,18 +1,25 @@
 """The :class:`Model` container tying variables, constraints and objective.
 
-A :class:`Model` is a mutable builder object.  Solver backends consume it via
-:mod:`repro.milp.standard_form`, which lowers the model to matrix form.
+A :class:`Model` is a mutable builder object.  Its constraints are stored
+already lowered, as rows of column indices, coefficients, a sense and a
+right-hand side.  :meth:`Model.add_row` appends one such row directly;
+:meth:`Model.add_constr` is the expression front-end that lowers a
+:class:`Constraint` into the same storage.  Solver backends consume the model
+via :mod:`repro.milp.standard_form`, which stacks the rows into matrix form.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Dict, Iterable, List, Mapping, Optional, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.exceptions import ModelError
-from repro.milp.constraint import Constraint
+from repro.milp.constraint import Constraint, ConstraintSense
 from repro.milp.expression import LinExpr, Variable, VarType
+from repro.milp.sparse import CsrMatrix
 
 Number = Union[int, float]
 
@@ -41,7 +48,14 @@ class Model:
         self.sense = sense
         self._variables: List[Variable] = []
         self._by_name: Dict[str, Variable] = {}
-        self._constraints: List[Constraint] = []
+        # Rows are stored lowered: row i has columns/coefficients
+        # _cols/_coefs[_row_ptr[i]:_row_ptr[i + 1]], sense sign _row_sign[i]
+        # (see row_matrix) and right-hand side _rhs[i].
+        self._row_ptr: List[int] = [0]
+        self._cols: List[int] = []
+        self._coefs: List[float] = []
+        self._row_sign: List[float] = []
+        self._rhs: List[float] = []
         self._objective: LinExpr = LinExpr()
         self._fixed_values: Dict[Variable, float] = {}
         self._warm_start: Dict[Variable, float] = {}
@@ -119,42 +133,101 @@ class Model:
         return sum(1 for v in self._variables if v.is_integer)
 
     # ---------------------------------------------------------------- constraints
+    def _check_registered(self, variables: Iterable[Variable], what: str) -> None:
+        foreign = [v for v in variables if self._by_name.get(v.name) is not v]
+        if foreign:
+            names = ", ".join(v.name for v in foreign[:3])
+            raise ModelError(
+                f"{what} uses variables not registered in model {self.name!r}: {names}"
+            )
+
+    def add_row(
+        self,
+        columns: Sequence[int],
+        coefficients: Sequence[Number],
+        sense: ConstraintSense,
+        rhs: Number,
+    ) -> int:
+        """Append the row ``Σ_k coefficients[k]·x[columns[k]]  sense  rhs``.
+
+        ``columns`` are variable indices (:attr:`Variable.index`), so no
+        expression objects are built.  Zero coefficients are dropped, as
+        :class:`LinExpr` drops them.  Returns the row's index.  Raises
+        :class:`ModelError` on a column that is out of range or repeated, a
+        non-finite coefficient, mismatched lengths, a NaN right-hand side or
+        an unknown sense.
+        """
+        cols = list(columns)
+        coefs = [float(c) for c in coefficients]
+        if len(cols) != len(coefs):
+            raise ModelError(f"row has {len(cols)} columns but {len(coefs)} coefficients")
+        # The factor the row enters ``A_ub x <= b_ub`` with; 0 marks an
+        # equality row.
+        if sense is ConstraintSense.LE:
+            sign = 1.0
+        elif sense is ConstraintSense.GE:
+            sign = -1.0
+        elif sense is ConstraintSense.EQ:
+            sign = 0.0
+        else:
+            raise ModelError(f"unknown constraint sense {sense!r}")
+        rhs = float(rhs)
+        if math.isnan(rhs):
+            raise ModelError("row right-hand side is NaN")
+        if cols:
+            if min(cols) < 0 or max(cols) >= len(self._variables):
+                raise ModelError(f"row column out of range in model {self.name!r}")
+            if len(set(cols)) != len(cols):
+                raise ModelError(f"row repeats a column in model {self.name!r}")
+            if not all(map(math.isfinite, coefs)):
+                raise ModelError(f"row has a non-finite coefficient in model {self.name!r}")
+            if 0.0 in coefs:
+                cols = [c for c, v in zip(cols, coefs) if v != 0.0]
+                coefs = [v for v in coefs if v != 0.0]
+        self._cols.extend(cols)
+        self._coefs.extend(coefs)
+        self._row_ptr.append(len(self._cols))
+        self._row_sign.append(sign)
+        self._rhs.append(rhs)
+        self._bump_revision()
+        return len(self._rhs) - 1
+
     def add_constr(self, constraint: Constraint, name: Optional[str] = None) -> Constraint:
-        """Register a constraint (optionally naming it) and return it."""
+        """Register a constraint (optionally naming it) and return it.
+
+        The expression front-end of :meth:`add_row`: the constraint is
+        lowered through each variable's ``index`` into the same row storage.
+        """
         if not isinstance(constraint, Constraint):
             raise ModelError(
                 "add_constr expects a Constraint; build one by comparing "
                 "expressions, e.g. `x + y <= 1`"
             )
-        foreign = [v for v in constraint.lhs_terms if self._by_name.get(v.name) is not v]
-        if foreign:
-            names = ", ".join(v.name for v in foreign[:3])
-            raise ModelError(
-                f"constraint uses variables not registered in model {self.name!r}: {names}"
-            )
+        terms = constraint.lhs_terms
+        self._check_registered(terms, "constraint")
         if name is not None:
             constraint.name = name
-        self._constraints.append(constraint)
-        self._bump_revision()
+        self.add_row(
+            [var.index for var in terms], list(terms.values()), constraint.sense, constraint.rhs
+        )
         return constraint
-
-    def add_constrs(self, constraints: Iterable[Constraint], prefix: str = "") -> List[Constraint]:
-        """Register many constraints, auto-naming them ``prefix[i]``."""
-        added = []
-        for i, constraint in enumerate(constraints):
-            label = f"{prefix}[{i}]" if prefix else None
-            added.append(self.add_constr(constraint, name=label))
-        return added
-
-    @property
-    def constraints(self) -> List[Constraint]:
-        """All constraints in insertion order."""
-        return list(self._constraints)
 
     @property
     def num_constraints(self) -> int:
         """Number of constraints."""
-        return len(self._constraints)
+        return len(self._rhs)
+
+    def row_matrix(self) -> Tuple[CsrMatrix, np.ndarray, np.ndarray]:
+        """Every row as ``(A, sign, rhs)``, in insertion order.
+
+        Row ``i`` reads ``A[i] @ x  sense  rhs[i]``; ``sign[i]`` is ``+1``
+        for ``<=``, ``-1`` for ``>=`` (the factor the row enters
+        ``A_ub x <= b_ub`` with) and ``0`` for ``==``.
+        """
+        matrix = CsrMatrix(
+            self._coefs, self._cols, self._row_ptr, (len(self._rhs), len(self._variables))
+        )
+        return matrix, np.array(self._row_sign), np.array(self._rhs, dtype=float)
 
     # ------------------------------------------------------------------ objective
     def set_objective(self, expr: Union[LinExpr, Variable, Number], sense: Optional[ObjectiveSense] = None) -> None:
@@ -165,6 +238,7 @@ class Model:
             expr = LinExpr({}, expr)
         if not isinstance(expr, LinExpr):
             raise ModelError("objective must be a LinExpr, Variable or number")
+        self._check_registered(expr.terms, "objective")
         self._objective = expr
         if sense is not None:
             self.sense = sense
@@ -224,6 +298,7 @@ class Model:
 
     def is_feasible(self, assignment: Mapping[Variable, float], tol: float = 1e-6) -> bool:
         """Check bounds, integrality, fixings and all constraints."""
+        values = np.zeros(len(self._variables))
         for var in self._variables:
             value = float(assignment.get(var, 0.0))
             lower, upper = self.effective_bounds(var)
@@ -231,7 +306,13 @@ class Model:
                 return False
             if var.is_integer and abs(value - round(value)) > tol:
                 return False
-        return all(c.is_satisfied(assignment, tol) for c in self._constraints)
+            values[var.index] = value
+        matrix, sign, rhs = self.row_matrix()
+        residual = matrix.matvec(values) - rhs
+        # A positive residual breaks a <= row, a negative one a >= row, and
+        # either an equality.
+        violation = np.where(sign == 0.0, np.abs(residual), sign * residual)
+        return not np.any(violation > tol)
 
     def summary(self) -> str:
         """One-line human-readable size summary."""

@@ -9,6 +9,10 @@ The standard form produced here matches the conventions of
 * ``lb <= x <= ub``
 * ``integrality[i] == 1`` marks integer variables.
 
+A :class:`Model` already holds its rows as column indices and coefficients
+(:meth:`Model.add_row`), so lowering only stacks them: ``<=`` and ``>=``
+rows (the latter negated) into ``A_ub``, ``==`` rows into ``A_eq``.
+
 ``A_ub``/``A_eq`` are :class:`~repro.milp.sparse.CsrMatrix` — SQPR models
 are a few non-zeros per row across thousands of columns, and the fig. 5
 scale experiments made dense lowering the dominant memory cost.  Callers
@@ -40,7 +44,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.exceptions import ModelError
-from repro.milp.constraint import ConstraintSense
 from repro.milp.model import Model, ObjectiveSense
 from repro.milp.expression import Variable
 from repro.milp.sparse import CsrMatrix
@@ -110,49 +113,34 @@ def _lower(model: Model) -> StandardForm:
     variables = model.variables
     if not variables:
         raise ModelError("cannot lower a model with no variables")
-    index = {var: i for i, var in enumerate(variables)}
     n = len(variables)
 
     # Objective: scipy always minimises, so a MAXIMIZE model flips sign.
     sign = -1.0 if model.sense is ObjectiveSense.MAXIMIZE else 1.0
     c = np.zeros(n)
     for var, coeff in model.objective.terms.items():
-        c[index[var]] = sign * coeff
+        c[var.index] = sign * coeff
     offset = model.objective.constant
 
-    ub_rows: List = []
-    ub_rhs: List[float] = []
-    eq_rows: List = []
-    eq_rhs: List[float] = []
+    # The rows are stored lowered; split them into the <= and == blocks,
+    # negating >= rows into <= form.
+    rows, row_sign, rhs = model.row_matrix()
+    is_ub = row_sign != 0.0
+    scale = np.where(is_ub, row_sign, 1.0)
+    data = rows.data * scale[rows.row_ids]
+    rhs = rhs * scale
+    counts = np.diff(rows.indptr)
+    entry_ub = is_ub[rows.row_ids]
+    a_ub = _csr(counts[is_ub], rows.indices[entry_ub], data[entry_ub], n)
+    a_eq = _csr(counts[~is_ub], rows.indices[~entry_ub], data[~entry_ub], n)
+    b_ub = rhs[is_ub]
+    b_eq = rhs[~is_ub]
 
-    for constraint in model.constraints:
-        terms = constraint.lhs_terms
-        cols = np.fromiter((index[var] for var in terms), dtype=np.int64, count=len(terms))
-        vals = np.fromiter(terms.values(), dtype=float, count=len(terms))
-        rhs = constraint.rhs
-        if constraint.sense is ConstraintSense.LE:
-            ub_rows.append((cols, vals))
-            ub_rhs.append(rhs)
-        elif constraint.sense is ConstraintSense.GE:
-            ub_rows.append((cols, -vals))
-            ub_rhs.append(-rhs)
-        else:
-            eq_rows.append((cols, vals))
-            eq_rhs.append(rhs)
-
-    a_ub = CsrMatrix.from_rows(ub_rows, n) if ub_rows else CsrMatrix.empty(n)
-    b_ub = np.asarray(ub_rhs, dtype=float)
-    a_eq = CsrMatrix.from_rows(eq_rows, n) if eq_rows else CsrMatrix.empty(n)
-    b_eq = np.asarray(eq_rhs, dtype=float)
-
-    lower = np.zeros(n)
-    upper = np.zeros(n)
-    integrality = np.zeros(n)
-    for var, i in index.items():
-        lo, hi = model.effective_bounds(var)
-        lower[i] = lo
-        upper[i] = hi
-        integrality[i] = 1.0 if var.is_integer else 0.0
+    lower = np.array([var.lower for var in variables], dtype=float)
+    upper = np.array([var.upper for var in variables], dtype=float)
+    for var, value in model.fixed_values.items():
+        lower[var.index] = upper[var.index] = value
+    integrality = np.array([1.0 if var.is_integer else 0.0 for var in variables])
 
     return StandardForm(
         variables=variables,
@@ -167,6 +155,13 @@ def _lower(model: Model) -> StandardForm:
         objective_sign=sign,
         objective_offset=offset,
     )
+
+
+def _csr(counts: np.ndarray, indices: np.ndarray, data: np.ndarray, n: int) -> CsrMatrix:
+    """A CSR block from per-row entry counts and the rows' stacked entries."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return CsrMatrix(data, indices, indptr, (len(counts), n))
 
 
 # ------------------------------------------------------------- warm starts

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from repro.exceptions import ModelError
+from repro.milp.constraint import ConstraintSense
 from repro.milp.expression import VarType
 from repro.milp.model import Model, ObjectiveSense
 from repro.milp.standard_form import to_standard_form
@@ -20,6 +22,18 @@ def build_toy_model() -> Model:
     z = model.add_continuous("z", 0.0, 4.0)
     model.add_constr(x + y <= 1, name="choose_one")
     model.add_constr(z >= 2 * y, name="link")
+    model.set_objective(3 * x + 2 * y + z)
+    return model
+
+
+def build_toy_model_by_rows() -> Model:
+    """``build_toy_model`` with its rows added as column indices."""
+    model = Model("toy", sense=ObjectiveSense.MAXIMIZE)
+    x = model.add_binary("x")
+    y = model.add_binary("y")
+    z = model.add_continuous("z", 0.0, 4.0)
+    model.add_row([x.index, y.index], [1.0, 1.0], ConstraintSense.LE, 1.0)
+    model.add_row([z.index, y.index], [1.0, -2.0], ConstraintSense.GE, 0.0)
     model.set_objective(3 * x + 2 * y + z)
     return model
 
@@ -52,6 +66,14 @@ class TestModel:
         x = model_a.add_var("x")
         with pytest.raises(ModelError):
             model_b.add_constr(x <= 1)
+
+    def test_foreign_variable_rejected_in_objective(self):
+        model_a = Model("a")
+        model_b = Model("b")
+        x = model_a.add_var("x")
+        model_b.add_var("x")
+        with pytest.raises(ModelError):
+            model_b.set_objective(2 * x)
 
     def test_add_constr_requires_constraint(self):
         model = Model()
@@ -92,6 +114,75 @@ class TestModel:
         text = model.summary()
         assert "3 vars" in text
         assert "2 constraints" in text
+
+
+class TestAddRow:
+    """``add_row`` is the expression-free way in to the same row storage."""
+
+    @pytest.mark.parametrize(
+        "columns, coefficients",
+        [
+            ([0, 3], [1.0, 1.0]),  # out of range (3 variables)
+            ([-1], [1.0]),
+            ([0, 0], [1.0, 2.0]),  # duplicate column
+            ([0, 1], [1.0, math.inf]),
+            ([0, 1], [math.nan, 1.0]),
+            ([0, 1], [1.0]),  # length mismatch
+        ],
+    )
+    def test_invalid_rows_rejected(self, columns, coefficients):
+        model = build_toy_model()
+        with pytest.raises(ModelError):
+            model.add_row(columns, coefficients, ConstraintSense.LE, 1.0)
+        assert model.num_constraints == 2
+
+    def test_zero_coefficients_dropped(self):
+        model = build_toy_model()
+        model.add_row([0, 1, 2], [1.0, 0.0, -2.0], ConstraintSense.EQ, 0.0)
+        form = to_standard_form(model)
+        assert form.a_eq.indices.tolist() == [0, 2]
+        assert form.a_eq.data.tolist() == [1.0, -2.0]
+
+    def test_rows_and_constraints_lower_to_the_same_form(self):
+        ours = to_standard_form(build_toy_model_by_rows())
+        theirs = to_standard_form(build_toy_model())
+        assert np.array_equal(ours.a_ub.toarray(), theirs.a_ub.toarray())
+        assert np.array_equal(ours.b_ub, theirs.b_ub)
+        assert np.array_equal(ours.c, theirs.c)
+        # >= rows enter A_ub negated.
+        assert ours.a_ub.toarray()[1].tolist() == [0.0, 2.0, -1.0]
+
+    @pytest.mark.parametrize("edit", ["bound", "fix"])
+    def test_bound_edit_after_rows_relowers(self, edit):
+        model = build_toy_model()
+        model.add_row([0, 2], [1.0, 1.0], ConstraintSense.EQ, 3.0)
+        stale = to_standard_form(model)
+        z = model.get_var("z")
+        if edit == "bound":
+            z.upper = 2.0
+        else:
+            model.fix_var(z, 2.0)
+        fresh = to_standard_form(model)
+        assert fresh is not stale
+        assert fresh.upper[z.index] == pytest.approx(2.0)
+        # The rows are re-lowered unchanged.
+        assert np.array_equal(fresh.a_ub.toarray(), stale.a_ub.toarray())
+        assert np.array_equal(fresh.a_eq.toarray(), stale.a_eq.toarray())
+        assert fresh.b_eq.tolist() == [3.0]
+
+    def test_is_feasible_agrees_between_add_row_and_add_constr(self):
+        by_expr = build_toy_model()
+        vx, vy, vz = (by_expr.get_var(name) for name in "xyz")
+        by_expr.add_constr(vx + vz == 1 + vy)
+        by_row = build_toy_model_by_rows()
+        by_row.add_row([0, 2, 1], [1.0, 1.0, -1.0], ConstraintSense.EQ, 1.0)
+        row_vars = [by_row.get_var(name) for name in "xyz"]
+        verdicts = set()
+        for values in itertools.product([0.0, 1.0], [0.0, 1.0], [0.0, 0.5, 1.0, 2.0, 4.0]):
+            verdict = by_expr.is_feasible(dict(zip((vx, vy, vz), values)))
+            assert by_row.is_feasible(dict(zip(row_vars, values))) == verdict, values
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
 
 
 class TestStandardForm:

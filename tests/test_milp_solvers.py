@@ -112,6 +112,33 @@ class TestSimplex:
         assert ours.is_optimal and theirs.is_optimal
         assert ours.objective == pytest.approx(theirs.objective, rel=1e-6, abs=1e-6)
 
+    @pytest.mark.skipif(not scipy_available(), reason="scipy not installed")
+    def test_scipy_lp_reads_infinite_upper_bounds_as_unbounded(self):
+        from scipy.optimize import linprog
+
+        # Columns 0 and 2 are unbounded above; only the rows cap them.
+        c = np.array([-1.0, 1.0, -0.5])
+        a_ub = np.array([[1.0, 1.0, 0.0], [1.0, -1.0, 1.0]])
+        b_ub = np.array([4.0, 2.0])
+        lower = np.array([0.0, 0.0, -1.0])
+        upper = np.array([np.inf, 3.0, np.inf])
+        ours = solve_lp(c, a_ub, b_ub, np.zeros((0, 3)), np.zeros(0), lower, upper)
+        # The same LP with bounds as (lo, hi-or-None) pairs.
+        pairs = linprog(
+            c,
+            A_ub=a_ub,
+            b_ub=b_ub,
+            bounds=[(0.0, None), (0.0, 3.0), (-1.0, None)],
+            method="highs",
+        )
+        assert ours.is_optimal and pairs.status == 0
+        assert ours.objective == pairs.fun == pytest.approx(-2.5)
+        assert np.array_equal(ours.x, pairs.x)
+        reference = solve_lp_simplex(
+            c, a_ub, b_ub, np.zeros((0, 3)), np.zeros(0), lower, upper
+        )
+        assert reference.objective == pytest.approx(ours.objective)
+
 
 def knapsack_model() -> Model:
     """A small 0/1 knapsack with known optimum 11 (items 0 and 2)."""
